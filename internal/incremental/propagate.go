@@ -362,13 +362,10 @@ func (s *Session) propagate(ref memberRef, dbase *relation.Counted) error {
 	}
 
 	// Phases 4–5 maintain the residual (topjoin + multiplicity-factor)
-	// state. When the whole-plan residue is shared, its lead patches it
-	// once on behalf of every subscriber and followers are already done —
-	// the collapse that makes N identical registered queries cost roughly
-	// one query's propagation per update.
-	if s.sres != nil && s.sres.Val.pos != s.pos {
-		return nil
-	}
+	// state. A session holding a shared residue reaches them only as its
+	// lead: followers never enter propagate (see applyOne), the collapse
+	// that makes N identical registered queries cost roughly one query's
+	// propagation per update.
 
 	// Phase 4: topjoins, BFS from the seeds.
 	type topJob struct {

@@ -112,14 +112,18 @@ type Session struct {
 
 	// Plan-sharing attachment (nil/zero when the session is private). See
 	// shared.go: store is the hash-cons domain, pos the session's cursor in
-	// the shared update stream, and sbase/snode/sres the refcounted entries
-	// this session holds. adopt records what Adopt shared versus donated.
-	store *PlanStore
-	pos   int64
-	sbase map[memberRef]*internedBase
-	snode []*internedNode
-	sres  *internedResidue
-	adopt AdoptStats
+	// the shared update stream, and srows/sbase/snode/sres the refcounted
+	// entries this session holds (sbase indexed [ui][mi]); cursors points
+	// at every held entry's position. adopt records what Adopt shared
+	// versus donated.
+	store   *PlanStore
+	pos     int64
+	srows   map[string]*internedRows
+	sbase   [][]*internedBase
+	snode   []*internedNode
+	sres    *internedResidue
+	cursors []*int64
+	adopt   AdoptStats
 
 	// Instruments from Options.Metrics; all nil when no registry was given.
 	updateSecs    *obs.Histogram
@@ -275,10 +279,11 @@ func (s *Session) Delete(rel string, row relation.Tuple) error {
 func (s *Session) Apply(batch []Update) error {
 	// The bulk-rebuild shortcut detaches from any PlanStore first: the
 	// rebuild re-solves over private tables, and an attached session must
-	// not churn its database underneath shared state. Detaching never
-	// advances the store, so remaining subscribers stay aligned (the next
-	// to apply at the current position becomes lead). Callers that care
-	// about sharing should check Shared() after bulk batches.
+	// not churn its database underneath shared state (detaching copies the
+	// shared rows first). Detaching never advances the store, so remaining
+	// subscribers stay aligned (the next to apply at the current position
+	// becomes lead). Callers that care about sharing should check Shared()
+	// after bulk batches.
 	if s.opts.BulkThreshold > 0 && len(batch) >= s.opts.BulkThreshold {
 		s.ReleaseShared()
 		for _, up := range batch {
@@ -322,10 +327,18 @@ func (s *Session) applyRow(up Update) (memberRef, bool, error) {
 	if len(up.Row) != len(r.Attrs) {
 		return memberRef{}, false, fmt.Errorf("incremental: tuple arity %d does not match %s arity %d", len(up.Row), up.Rel, len(r.Attrs))
 	}
-	rs := s.rowsets[up.Rel]
-	if up.Insert {
-		rs.Insert(r, up.Row)
-	} else if err := rs.Remove(r, up.Row); err != nil {
+	if e := s.srows[up.Rel]; e != nil && e.Val.pos != s.pos {
+		// A co-subscriber already applied this position to the shared
+		// rows: replay its outcome.
+		if err := e.Val.errs[s.pos]; err != nil {
+			return memberRef{}, false, err
+		}
+	} else if up.Insert {
+		s.rowsets[up.Rel].Insert(r, up.Row)
+	} else if err := s.rowsets[up.Rel].Remove(r, up.Row); err != nil {
+		if e != nil {
+			e.Val.reject(s.pos, err)
+		}
 		return memberRef{}, false, err
 	}
 	s.updates++
@@ -340,7 +353,8 @@ func (s *Session) applyRow(up Update) (memberRef, bool, error) {
 // (validation errors and selection rejections are deterministic across
 // subscribers fed the same stream, so positions stay aligned); a
 // propagation error may leave a shared table half-patched and poisons the
-// whole store instead.
+// whole store instead. A fully-shared follower whose lead already applied
+// the position skips propagation: it only re-reads its component total.
 func (s *Session) applyOne(up Update) error {
 	if s.store != nil {
 		if err := s.store.fail; err != nil {
@@ -360,11 +374,20 @@ func (s *Session) applyOne(up Update) error {
 		s.advanceShared()
 		return nil // relation not referenced by the query: |Q(D)| unaffected
 	}
-	md := s.sol.Units[ref.ui].Members[ref.mi]
 	if keep := s.selFn[up.Rel]; keep != nil && !keep(up.Row) {
 		s.advanceShared()
 		return nil // rows failing the atom's selection never enter the passes
 	}
+	if s.sres != nil && s.sres.Val.pos != s.pos {
+		// Fully-shared follower: holding the residue means holding every
+		// base and node too, and the lead has patched them all at this
+		// position. Only the component total is private.
+		root := s.sol.Comp[ref.ui]
+		s.sol.Totals[root] = s.sol.Bot[root].SumCnt()
+		s.advanceShared()
+		return nil
+	}
+	md := s.sol.Units[ref.ui].Members[ref.mi]
 	delta := int64(1)
 	if !up.Insert {
 		delta = -1
@@ -511,7 +534,8 @@ func (s *Session) Has(rel string, row relation.Tuple) bool {
 }
 
 // Rows returns the current rows of the named relation (a live, read-only
-// view of the session's database), or nil for unknown relations.
+// view of the session's database, shared with the other subscribers of
+// its PlanStore while attached), or nil for unknown relations.
 func (s *Session) Rows(rel string) []relation.Tuple {
 	r := s.db.Relation(rel)
 	if r == nil {

@@ -5,9 +5,15 @@ package incremental
 // nodes, so one delta patch per shared node fans out to every subscribed
 // query instead of being recomputed per session.
 //
-// Sharing has two tiers, keyed by the structural fingerprints of
-// core.PlanShape:
+// Sharing has three tiers. Tier 0 is keyed by relation name, the others by
+// the structural fingerprints of core.PlanShape:
 //
+//   - Row tier (tier 0): the database relations themselves — the rows and
+//     the RowSet indexing them. Every subscriber holds the same snapshot
+//     and is fed the same stream, so one copy serves all of them; the
+//     first subscriber at a stream position patches it, and the rest
+//     replay the recorded outcome (an error for a delete of an absent
+//     tuple, nil otherwise).
 //   - Subtree tier: member base projections, unit (bag) relations, and
 //     botjoin tables intern per join-tree subtree. Any two sessions whose
 //     queries name an identical subtree (same relations, variable
@@ -15,8 +21,12 @@ package incremental
 //   - Residue tier: when two sessions' *entire* plans fingerprint equal
 //     (byte-identical queries, typically), the topjoin tables and the
 //     multiplicity-table factor groups — "the residual (topjoin +
-//     multiplicity-factor) state" — intern too, and a follower's
-//     per-update work collapses to memo lookups.
+//     multiplicity-factor) state" — intern too. Sharing the residue implies
+//     sharing every base and node, so such a *fully-shared* follower skips
+//     propagation altogether: once the lead has applied a position, the
+//     follower replays the row outcome, re-reads its one private component
+//     total from the shared root botjoin, and bumps its cursor, without
+//     allocating.
 //
 // Delta application is lead/follower with per-node stream positions: all
 // subscribers of a store are fed the same update stream; the first session
@@ -31,14 +41,16 @@ package incremental
 // Concurrency discipline: all sessions attached to one store must apply
 // updates from a single goroutine (the serving layer's shard loop), and
 // must be fed identical update streams. Adopt and ReleaseShared may be
-// called from other goroutines — they touch only the refcount maps, under
-// the store mutex — but Adopt additionally requires the store quiescent
-// (no round in flight), which the serving layer guarantees by adopting
-// either under the coordinator's lock or inside the shard loop at a round
-// boundary.
+// called from other goroutines — they touch the refcount maps under the
+// store mutex — but both additionally require the store quiescent (no
+// round in flight): Adopt compares against the shared tables, and
+// ReleaseShared copies the shared rows the session takes private. The
+// serving layer guarantees it by attaching and detaching either under the
+// coordinator's lock or inside the shard loop at a round boundary.
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -127,6 +139,26 @@ func (n *sharedNode) memoSet(pos int64, drel, dbot *relation.Counted) *nodeDelta
 	return e
 }
 
+// sharedRows is an interned database relation (tier 0): the rows every
+// subscriber reads through Rows and Has, and the RowSet that patches them.
+type sharedRows struct {
+	rel  *relation.Relation
+	rows *relation.RowSet
+	pos  int64
+	// errs records, by stream position, the updates the lead rejected
+	// (deletes of absent tuples), so followers report the same error.
+	// Rare, so allocated on first use; trimmed with the memos.
+	errs map[int64]error
+}
+
+// reject records the lead's rejection of the update at stream position pos.
+func (r *sharedRows) reject(pos int64, err error) {
+	if r.errs == nil {
+		r.errs = make(map[int64]error)
+	}
+	r.errs[pos] = err
+}
+
 // sharedResidue is an interned whole-plan residue: the topjoin tables and
 // multiplicity-table factor groups of a plan, shared only between sessions
 // whose full plan fingerprints match index-for-index.
@@ -139,6 +171,7 @@ type sharedResidue struct {
 }
 
 type (
+	internedRows    = relation.Interned[*sharedRows]
 	internedBase    = relation.Interned[*sharedBase]
 	internedNode    = relation.Interned[*sharedNode]
 	internedResidue = relation.Interned[*sharedResidue]
@@ -149,6 +182,7 @@ type (
 // serving layer keeps one per shard per routing discipline).
 type PlanStore struct {
 	mu       sync.Mutex
+	rows     *relation.Interner[*sharedRows]
 	bases    *relation.Interner[*sharedBase]
 	nodes    *relation.Interner[*sharedNode]
 	residues *relation.Interner[*sharedResidue]
@@ -171,6 +205,7 @@ type PlanStore struct {
 // NewPlanStore returns an empty store.
 func NewPlanStore() *PlanStore {
 	return &PlanStore{
+		rows:     relation.NewInterner[*sharedRows](),
 		bases:    relation.NewInterner[*sharedBase](),
 		nodes:    relation.NewInterner[*sharedNode](),
 		residues: relation.NewInterner[*sharedResidue](),
@@ -180,6 +215,9 @@ func NewPlanStore() *PlanStore {
 
 // AdoptStats reports what a session's Adopt call shared versus donated.
 type AdoptStats struct {
+	// RowsShared/RowsDonated count database relations (tier 0) spliced
+	// in from the store versus interned from this session's own copy.
+	RowsShared, RowsDonated int
 	// BasesShared/NodesShared count tables adopted from the store
 	// (another session donated them first); the *Donated counters are
 	// this session's tables interned as new canonical entries.
@@ -202,10 +240,12 @@ func (a AdoptStats) FullShare() bool {
 // match the serving API's snake_case convention (GET /debug/plans embeds
 // this struct verbatim).
 type PlanStoreStats struct {
-	Bases    int `json:"bases"` // interned entries
+	Rows     int `json:"rows"` // interned entries (Rows: database relations)
+	Bases    int `json:"bases"`
 	Nodes    int `json:"nodes"`
 	Residues int `json:"residues"`
 	// Shared* count entries with more than one subscriber.
+	SharedRows     int `json:"shared_rows"`
 	SharedBases    int `json:"shared_bases"`
 	SharedNodes    int `json:"shared_nodes"`
 	SharedResidues int `json:"shared_residues"`
@@ -222,9 +262,11 @@ func (ps *PlanStore) Stats() PlanStoreStats {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	st := PlanStoreStats{
+		Rows:           ps.rows.Len(),
 		Bases:          ps.bases.Len(),
 		Nodes:          ps.nodes.Len(),
 		Residues:       ps.residues.Len(),
+		SharedRows:     ps.rows.Shared(),
 		SharedBases:    ps.bases.Shared(),
 		SharedNodes:    ps.nodes.Shared(),
 		SharedResidues: ps.residues.Shared(),
@@ -238,9 +280,9 @@ func (ps *PlanStore) Stats() PlanStoreStats {
 	return st
 }
 
-// Trim drops memoized deltas no live subscriber can still need. The
-// serving layer calls it after each drain round; attached sessions also
-// call it opportunistically every trimStride updates. Must not run
+// Trim drops memoized deltas and row outcomes no live subscriber can still
+// need. The serving layer calls it after each drain round; attached
+// sessions also call it opportunistically every trimStride updates. Must not run
 // concurrently with subscriber update application (same-goroutine
 // discipline), because it reads subscriber cursors.
 func (ps *PlanStore) Trim() {
@@ -257,6 +299,13 @@ func (ps *PlanStore) Trim() {
 			if p < min {
 				delete(e.Val.memo, p)
 				e.Val.memoLen.Add(-1)
+			}
+		}
+	})
+	ps.rows.Range(func(e *internedRows) {
+		for p := range e.Val.errs {
+			if p < min {
+				delete(e.Val.errs, p)
 			}
 		}
 	})
@@ -301,12 +350,13 @@ func liveRows(c *relation.Counted) int {
 }
 
 // Adopt attaches the session to store, hash-consing its maintained state:
-// every member base and join-tree subtree already interned (and
-// compatible) replaces the session's private copy, everything else is
-// donated as the new canonical entry, and when the entire plan matches an
-// interned one the topjoin/multiplicity residue is shared too. The
-// session's database clone and rowsets stay private (reads like Has and
-// Rows are per-session), as do component totals.
+// every database relation, member base and join-tree subtree already
+// interned (and compatible) replaces the session's private copy,
+// everything else is donated as the new canonical entry, and when the
+// entire plan matches an interned one the topjoin/multiplicity residue is
+// shared too. Only the component totals stay private. Shared rows make
+// Has and Rows read the store's copy, which every subscriber sees at the
+// same stream position under the lockstep discipline.
 //
 // The session must be at the same database state as the store's
 // subscribers (same snapshot + same replayed stream), and the store must
@@ -324,11 +374,33 @@ func (s *Session) Adopt(store *PlanStore) (AdoptStats, error) {
 	}
 	quiet := true
 	clk := store.clock.Load()
+	store.rows.Range(func(e *internedRows) { quiet = quiet && e.Val.pos == clk })
 	store.bases.Range(func(e *internedBase) { quiet = quiet && e.Val.pos == clk })
 	store.nodes.Range(func(e *internedNode) { quiet = quiet && e.Val.pos == clk })
 	store.residues.Range(func(e *internedResidue) { quiet = quiet && e.Val.pos == clk })
 	if !quiet {
 		return st, fmt.Errorf("incremental: plan store not quiescent (round in flight)")
+	}
+
+	// Tier 0: database relations. The check is multiset equality of the
+	// rows, the same state every subscriber must hold; a relation that
+	// differs stays private (its updates then patch the private copy).
+	srows := make(map[string]*internedRows)
+	for _, name := range s.db.Names() {
+		mine := s.db.Relation(name)
+		if e, ok := store.rows.Lookup(name); ok {
+			if !slices.Equal(e.Val.rel.Attrs, mine.Attrs) || !e.Val.rows.Equal(s.rowsets[name]) {
+				continue
+			}
+			store.rows.Retain(e)
+			_ = s.db.Replace(e.Val.rel) // errors only for a name not in s.db
+			s.rowsets[name] = e.Val.rows
+			srows[name] = e
+			st.RowsShared++
+		} else {
+			srows[name] = store.rows.Put(name, &sharedRows{rel: mine, rows: s.rowsets[name], pos: clk})
+			st.RowsDonated++
+		}
 	}
 
 	sol := s.sol
@@ -343,10 +415,9 @@ func (s *Session) Adopt(store *PlanStore) (AdoptStats, error) {
 	shared := make(map[*relation.Counted]*sharedTabs)
 
 	// Tier 1a: member base projections.
-	sbase := make(map[memberRef]*internedBase)
-	baseOK := make([][]bool, len(sol.Units))
+	sbase := make([][]*internedBase, len(sol.Units))
 	for ui, u := range sol.Units {
-		baseOK[ui] = make([]bool, len(u.Members))
+		sbase[ui] = make([]*internedBase, len(u.Members))
 		for mi, md := range u.Members {
 			key := shape.Bases[ui][mi]
 			if e, ok := store.bases.Lookup(key); ok {
@@ -356,16 +427,15 @@ func (s *Session) Adopt(store *PlanStore) (AdoptStats, error) {
 				store.bases.Retain(e)
 				remap[md.Base] = e.Val.table
 				md.Base = e.Val.table
-				sbase[memberRef{ui, mi}] = e
+				sbase[ui][mi] = e
 				shared[e.Val.table] = e.Val.tabs
 				st.BasesShared++
 			} else {
-				sb := &sharedBase{table: md.Base, tabs: newSharedTabs(), pos: store.clock.Load()}
-				sbase[memberRef{ui, mi}] = store.bases.Put(key, sb)
+				sb := &sharedBase{table: md.Base, tabs: newSharedTabs(), pos: clk}
+				sbase[ui][mi] = store.bases.Put(key, sb)
 				shared[md.Base] = sb.tabs
 				st.BasesDonated++
 			}
-			baseOK[ui][mi] = true
 		}
 	}
 
@@ -383,8 +453,8 @@ func (s *Session) Adopt(store *PlanStore) (AdoptStats, error) {
 			adoptNode(c.Index)
 			ok = ok && nodeOK[c.Index]
 		}
-		for _, mok := range baseOK[i] {
-			ok = ok && mok
+		for _, e := range sbase[i] {
+			ok = ok && e != nil
 		}
 		if !ok {
 			return
@@ -413,7 +483,7 @@ func (s *Session) Adopt(store *PlanStore) (AdoptStats, error) {
 			n := &sharedNode{
 				rel: u.Rel, bot: sol.Bot[i],
 				relTabs: relTabs, botTabs: newSharedTabs(),
-				pos:  store.clock.Load(),
+				pos:  clk,
 				memo: make(map[int64]*nodeDelta),
 			}
 			snode[i] = store.nodes.Put(key, n)
@@ -487,7 +557,7 @@ func (s *Session) Adopt(store *PlanStore) (AdoptStats, error) {
 				gtTabs[gi] = newSharedTabs()
 				shared[g.table] = gtTabs[gi]
 			}
-			r := &sharedResidue{tops: sol.Top, topTabs: topTabs, gts: s.gts, gtTabs: gtTabs, pos: store.clock.Load()}
+			r := &sharedResidue{tops: sol.Top, topTabs: topTabs, gts: s.gts, gtTabs: gtTabs, pos: clk}
 			sres = store.residues.Put(shape.Plan, r)
 			st.ResidueDonated = true
 		}
@@ -538,11 +608,35 @@ func (s *Session) Adopt(store *PlanStore) (AdoptStats, error) {
 	}
 	s.plans = make(map[edgeKey]*relation.ExpandPlan)
 
+	// One flat list of every held entry's cursor, so advancing past an
+	// update walks a slice instead of the maps above.
+	var cursors []*int64
+	for _, e := range srows {
+		cursors = append(cursors, &e.Val.pos)
+	}
+	for _, es := range sbase {
+		for _, e := range es {
+			if e != nil {
+				cursors = append(cursors, &e.Val.pos)
+			}
+		}
+	}
+	for _, e := range snode {
+		if e != nil {
+			cursors = append(cursors, &e.Val.pos)
+		}
+	}
+	if sres != nil {
+		cursors = append(cursors, &sres.Val.pos)
+	}
+
 	s.store = store
-	s.pos = store.clock.Load()
+	s.pos = clk
+	s.srows = srows
 	s.sbase = sbase
 	s.snode = snode
 	s.sres = sres
+	s.cursors = cursors
 	s.adopt = st
 	store.subs[s] = struct{}{}
 	return st, nil
@@ -555,18 +649,32 @@ func (s *Session) AdoptStats() AdoptStats { return s.adopt }
 func (s *Session) Shared() bool { return s.store != nil }
 
 // ReleaseShared detaches the session from its store, dropping its
-// references; entries reaching refcount zero are un-interned. The session
-// must not apply further updates until rebuilt (rebuild detaches first,
-// so Rebuild/bulk Apply remain safe) — the serving layer calls this when
-// unregistering a query, where the session is discarded outright.
+// references; entries reaching refcount zero are un-interned. Relations
+// other subscribers still hold are copied, so the session's database and
+// rowsets are private again (Rebuild, bulk Apply and compaction all detach
+// first and then read them). The copy requires the store quiescent, like
+// Adopt. The session must not apply further updates until rebuilt — the
+// serving layer calls this when unregistering a query, where the session
+// is discarded outright.
 func (s *Session) ReleaseShared() {
 	store := s.store
 	if store == nil {
 		return
 	}
 	store.mu.Lock()
-	for _, e := range s.sbase {
-		store.bases.Release(e)
+	for name, e := range s.srows {
+		if !store.rows.Release(e) {
+			r := e.Val.rel.Clone()
+			_ = s.db.Replace(r) // the name came from s.db at Adopt
+			s.rowsets[name] = relation.NewRowSet(r)
+		}
+	}
+	for _, es := range s.sbase {
+		for _, e := range es {
+			if e != nil {
+				store.bases.Release(e)
+			}
+		}
 	}
 	for _, e := range s.snode {
 		if e != nil {
@@ -580,21 +688,20 @@ func (s *Session) ReleaseShared() {
 	store.mu.Unlock()
 	s.store = nil
 	s.pos = 0
+	s.srows = nil
 	s.sbase = nil
 	s.snode = nil
 	s.sres = nil
+	s.cursors = nil
 	s.adopt = AdoptStats{}
 }
 
 // sharedBaseOf returns the shared entry backing a member's base, or nil.
 func (s *Session) sharedBaseOf(ref memberRef) *sharedBase {
-	if s.sbase == nil {
+	if s.sbase == nil || s.sbase[ref.ui][ref.mi] == nil {
 		return nil
 	}
-	if e, ok := s.sbase[ref]; ok {
-		return e.Val
-	}
-	return nil
+	return s.sbase[ref.ui][ref.mi].Val
 }
 
 // sharedNodeOf returns the shared subtree entry at unit ui, or nil.
@@ -614,18 +721,10 @@ func (s *Session) advanceShared() {
 		return
 	}
 	p := s.pos
-	for _, e := range s.sbase {
-		if e.Val.pos == p {
-			e.Val.pos = p + 1
+	for _, c := range s.cursors {
+		if *c == p {
+			*c = p + 1
 		}
-	}
-	for _, e := range s.snode {
-		if e != nil && e.Val.pos == p {
-			e.Val.pos = p + 1
-		}
-	}
-	if s.sres != nil && s.sres.Val.pos == p {
-		s.sres.Val.pos = p + 1
 	}
 	s.pos = p + 1
 	if s.pos > s.store.clock.Load() {

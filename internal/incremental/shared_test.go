@@ -2,11 +2,13 @@ package incremental
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"tsens/internal/core"
 	"tsens/internal/query"
 	"tsens/internal/relation"
+	"tsens/internal/workload"
 )
 
 // openAdopted opens a session over db and attaches it to store.
@@ -318,5 +320,294 @@ func TestOpenPrunesUnreferencedRelations(t *testing.T) {
 	}
 	if err := s.Insert("NOPE", relation.Tuple{1}); err == nil {
 		t.Fatal("unknown relation accepted")
+	}
+}
+
+// sameAnswers fails unless got reports the same Count, LS and per-relation
+// sensitivities as want.
+func sameAnswers(t *testing.T, got, want *Session, step int) {
+	t.Helper()
+	g, err := got.LS()
+	if err != nil {
+		t.Fatalf("step %d: %v", step, err)
+	}
+	w, err := want.LS()
+	if err != nil {
+		t.Fatalf("step %d: %v", step, err)
+	}
+	if got.Count() != want.Count() || g.LS != w.LS || len(g.PerRelation) != len(w.PerRelation) {
+		t.Fatalf("step %d: count %d LS %d, want count %d LS %d", step, got.Count(), g.LS, want.Count(), w.LS)
+	}
+	for rel, wtr := range w.PerRelation {
+		if gtr := g.PerRelation[rel]; gtr == nil || gtr.Sensitivity != wtr.Sensitivity {
+			t.Fatalf("step %d: δ(%s): %+v, want %d", step, rel, gtr, wtr.Sensitivity)
+		}
+	}
+}
+
+// TestSharedRowsAbsentDelete feeds three subscribers of one store a delete
+// of a tuple no relation holds: the first applies it to the shared rows
+// and records the rejection, the others replay it, so all three return the
+// same error, advance past the position, and stay exact on the next one.
+func TestSharedRowsAbsentDelete(t *testing.T) {
+	tc := streamCases()[0] // path
+	rng := rand.New(rand.NewSource(7))
+	q, db, opts := buildCase(t, tc, rng, 12, 4)
+	m := newMirror(db)
+	store := NewPlanStore()
+	var sessions []*Session
+	for i := 0; i < 3; i++ {
+		s, st := openAdopted(t, q, db, opts, store)
+		if i > 0 && st.RowsShared != 3 {
+			t.Fatalf("session %d shared %d of 3 relations: %+v", i, st.RowsShared, st)
+		}
+		sessions = append(sessions, s)
+	}
+	if got := store.Stats(); got.Rows != 3 || got.SharedRows != 3 {
+		t.Fatalf("store stats: %+v", got)
+	}
+	absent := Update{Rel: "R2", Row: relation.Tuple{99, 99}}
+	var msgs []string
+	for _, s := range sessions {
+		err := s.Apply([]Update{absent})
+		if err == nil {
+			t.Fatal("delete of an absent tuple accepted")
+		}
+		msgs = append(msgs, err.Error())
+	}
+	if msgs[1] != msgs[0] || msgs[2] != msgs[0] {
+		t.Fatalf("subscribers disagree on the rejection: %q", msgs)
+	}
+	for _, s := range sessions {
+		if s.pos != 1 {
+			t.Fatalf("cursor %d after the rejected position, want 1", s.pos)
+		}
+	}
+	up := Update{Rel: "R1", Row: relation.Tuple{1, 2}, Insert: true}
+	m.apply(t, up)
+	for i, s := range sessions {
+		if err := s.Apply([]Update{up}); err != nil {
+			t.Fatal(err)
+		}
+		checkAgainstScratch(t, s, m, opts, i)
+		if s.pos != 2 {
+			t.Fatalf("cursor %d after the next position, want 2", s.pos)
+		}
+	}
+	if got := len(sessions[0].Rows("R1")); got != len(m.rows["R1"]) {
+		t.Fatalf("shared R1 holds %d rows, want %d", got, len(m.rows["R1"]))
+	}
+}
+
+// TestSharedRowsDetachPrivate detaches one of three subscribers each of
+// the three ways a session leaves its store. The detached session must end
+// up with private rows: the updates it applies afterwards (the bulk batch
+// itself, for a bulk Apply) leave the survivors' Rows and Has unchanged,
+// and the survivors keep answering exactly what a fresh Open does.
+func TestSharedRowsDetachPrivate(t *testing.T) {
+	applyEach := func(s *Session, ups []Update) error {
+		for _, up := range ups {
+			if err := s.Apply([]Update{up}); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	// Each way detaches the session and then applies ups to it alone.
+	detach := map[string]func(s *Session, ups []Update) error{
+		"release": func(s *Session, ups []Update) error {
+			s.ReleaseShared()
+			if err := s.Rebuild(); err != nil {
+				return err
+			}
+			return applyEach(s, ups)
+		},
+		"rebuild": func(s *Session, ups []Update) error {
+			if err := s.Rebuild(); err != nil {
+				return err
+			}
+			return applyEach(s, ups)
+		},
+		// len(ups) ≥ BulkThreshold: Apply detaches, then applies the batch.
+		"bulk": (*Session).Apply,
+	}
+	for name, fn := range detach {
+		t.Run(name, func(t *testing.T) {
+			tc := streamCases()[2] // triangle_ghd
+			rng := rand.New(rand.NewSource(17))
+			q, db, opts := buildCase(t, tc, rng, 12, 4)
+			m := newMirror(db)
+			store := NewPlanStore()
+			var sessions []*Session
+			for i := 0; i < 3; i++ {
+				s, err := Open(q, db, Options{Options: opts, BulkThreshold: 8})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.Adopt(store); err != nil {
+					t.Fatal(err)
+				}
+				sessions = append(sessions, s)
+			}
+			rels := []string{"T1", "T2", "T3"}
+			for step := 0; step < 20; step++ {
+				up := randomUpdate(rng, m, rels, 4)
+				m.apply(t, up)
+				for _, s := range sessions {
+					if err := s.Apply([]Update{up}); err != nil {
+						t.Fatalf("step %d: %v", step, err)
+					}
+				}
+			}
+
+			gone, survivors := sessions[0], sessions[1:]
+			before := make(map[string][]relation.Tuple)
+			for _, rel := range rels {
+				before[rel] = slices.Clone(survivors[0].Rows(rel))
+			}
+			// The detached session's own stream: inserts of fresh tuples and
+			// deletes of every current T1 row.
+			var private []Update
+			for i := 0; i < 4; i++ {
+				private = append(private, Update{Rel: "T2", Row: relation.Tuple{int64(50 + i), 1}, Insert: true})
+			}
+			for _, row := range m.rows["T1"] {
+				private = append(private, Update{Rel: "T1", Row: row.Clone()})
+			}
+			if err := fn(gone, private); err != nil {
+				t.Fatal(err)
+			}
+			if gone.Shared() {
+				t.Fatal("session still attached after detaching")
+			}
+			if got := store.Stats(); got.Subscribers != 2 || got.SharedRows != 3 {
+				t.Fatalf("store after detach: %+v", got)
+			}
+			for _, s := range survivors {
+				for _, rel := range rels {
+					if !slices.EqualFunc(s.Rows(rel), before[rel], relation.Tuple.Equal) {
+						t.Fatalf("survivor %s rows changed by a detached session's updates", rel)
+					}
+				}
+				if s.Has("T2", relation.Tuple{50, 1}) || !s.Has("T1", m.rows["T1"][0]) {
+					t.Fatal("survivor Has sees a detached session's updates")
+				}
+			}
+			if len(gone.Rows("T1")) != 0 || !gone.Has("T2", relation.Tuple{50, 1}) {
+				t.Fatal("detached session lost its own updates")
+			}
+
+			// The survivors stay exact on their shared stream.
+			for step := 0; step < 20; step++ {
+				up := randomUpdate(rng, m, rels, 4)
+				m.apply(t, up)
+				for _, s := range survivors {
+					if err := s.Apply([]Update{up}); err != nil {
+						t.Fatalf("survivor step %d: %v", step, err)
+					}
+				}
+			}
+			fresh, err := Open(q, m.database(t), Options{Options: opts})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range survivors {
+				sameAnswers(t, s, fresh, 0)
+			}
+		})
+	}
+}
+
+// TestSharedFullFollower checks the propagation short-circuit on a
+// multi-component query with a skipped relation and an unreferenced one:
+// after every step of a mixed stream (inserts, deletes, no-op updates to
+// the unreferenced relation) the fully-shared follower reports exactly the
+// lead's Count and LS, and both match the from-scratch solver at the end.
+func TestSharedFullFollower(t *testing.T) {
+	tc := streamCases()[4] // disconnected_with_skip
+	rng := rand.New(rand.NewSource(29))
+	q, db, opts := buildCase(t, tc, rng, 12, 4)
+	m := newMirror(db)
+	store := NewPlanStore()
+	lead, _ := openAdopted(t, q, db, opts, store)
+	follower, st := openAdopted(t, q, db, opts, store)
+	if !st.ResidueShared || st.RowsShared != 3 {
+		t.Fatalf("follower not fully shared: %+v", st)
+	}
+	rels := []string{"D1", "D2", "D3", "UNUSED"}
+	for step := 0; step < 120; step++ {
+		up := randomUpdate(rng, m, rels, 4)
+		m.apply(t, up)
+		for _, s := range []*Session{lead, follower} {
+			if err := s.Apply([]Update{up}); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+		}
+		sameAnswers(t, follower, lead, step)
+	}
+	checkAgainstScratch(t, follower, m, opts, 0)
+}
+
+// TestSharedFollowerAllocs pins the fully-shared follower's update path at
+// zero allocations: with the lead already past a position, a follower's
+// single-tuple Apply replays the row outcome, re-reads its component
+// total, and bumps its cursor. The lead runs ahead first so only the
+// follower's work is measured.
+func TestSharedFollowerAllocs(t *testing.T) {
+	const runs = 300
+	spec := workload.QTri()
+	db := workload.FacebookDataSized(40, 200, 50, 1)
+	store := NewPlanStore()
+	var sessions []*Session
+	for i := 0; i < 3; i++ {
+		s, st := openAdopted(t, spec.Query, db, spec.Options(), store)
+		if i > 0 && !st.ResidueShared {
+			t.Fatalf("subscriber %d not fully shared: %+v", i, st)
+		}
+		sessions = append(sessions, s)
+	}
+	lead, follower := sessions[0], sessions[1]
+	ups := make([]Update, runs+1)
+	for i := range ups {
+		ups[i] = Update{Rel: []string{"R1", "R2", "R3"}[i/2%3], Row: relation.Tuple{1000, 1001}, Insert: i%2 == 0}
+	}
+	for _, up := range ups {
+		if err := lead.Apply([]Update{up}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	one := make([]Update, 1)
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		one[0] = ups[next]
+		next++
+		if err := follower.Apply(one); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("fully-shared follower: %.1f allocs per update, want 0", allocs)
+	}
+	sameAnswers(t, follower, lead, runs)
+}
+
+// TestSharedRowsDivergedStayPrivate pins the tier-0 check: a relation
+// whose rows differ from the interned copy, even at equal length, is not
+// spliced in, and the session keeps patching its own rows.
+func TestSharedRowsDivergedStayPrivate(t *testing.T) {
+	tc := streamCases()[0] // path
+	rng := rand.New(rand.NewSource(41))
+	q, db, opts := buildCase(t, tc, rng, 12, 4)
+	other := db.Clone()
+	r1 := other.Relation("R1")
+	r1.Rows[0] = relation.Tuple{77, 77}
+	store := NewPlanStore()
+	a, _ := openAdopted(t, q, db, opts, store)
+	b, st := openAdopted(t, q, other, opts, store)
+	if st.RowsShared != 2 || st.RowsDonated != 0 {
+		t.Fatalf("diverged R1 spliced in: %+v", st)
+	}
+	if !b.Has("R1", relation.Tuple{77, 77}) || a.Has("R1", relation.Tuple{77, 77}) {
+		t.Fatal("sessions with diverged R1 read the same rows")
 	}
 }

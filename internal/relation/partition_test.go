@@ -95,3 +95,20 @@ func TestRowSetContains(t *testing.T) {
 		t.Fatal("multiset lost the second occurrence")
 	}
 }
+
+func TestRowSetEqual(t *testing.T) {
+	a := NewRowSet(MustNew("R", []string{"a"}, []Tuple{{1}, {1}, {2}}))
+	b := NewRowSet(MustNew("R", []string{"a"}, []Tuple{{2}, {1}, {1}}))
+	if !a.Equal(b) || !b.Equal(a) {
+		t.Fatal("row order must not matter")
+	}
+	// Same length and same distinct rows, different multiplicities.
+	c := NewRowSet(MustNew("R", []string{"a"}, []Tuple{{1}, {2}, {2}}))
+	if a.Equal(c) || c.Equal(a) {
+		t.Fatal("multiplicities must matter")
+	}
+	d := NewRowSet(MustNew("R", []string{"a"}, []Tuple{{1}, {1}, {3}}))
+	if a.Equal(d) {
+		t.Fatal("distinct rows must matter")
+	}
+}

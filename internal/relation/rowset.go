@@ -32,6 +32,20 @@ func NewRowSet(r *Relation) *RowSet {
 	return rs
 }
 
+// Equal reports whether rs and o index the same multiset of rows: every
+// distinct row occurs equally often in both, regardless of row order.
+func (rs *RowSet) Equal(o *RowSet) bool {
+	if len(rs.pos) != len(o.pos) {
+		return false
+	}
+	for k, list := range rs.pos {
+		if len(o.pos[k]) != len(list) {
+			return false
+		}
+	}
+	return true
+}
+
 // Insert appends a private clone of t to r and indexes it.
 func (rs *RowSet) Insert(r *Relation, t Tuple) {
 	row := t.Clone()

@@ -31,6 +31,8 @@ func planTotals(s *Server) incremental.PlanStoreStats {
 	var tot incremental.PlanStoreStats
 	for _, d := range s.PlanStats() {
 		for _, st := range []incremental.PlanStoreStats{d.Partitioned, d.Fallback} {
+			tot.Rows += st.Rows
+			tot.SharedRows += st.SharedRows
 			tot.Bases += st.Bases
 			tot.Nodes += st.Nodes
 			tot.Residues += st.Residues
@@ -66,12 +68,15 @@ func TestSharedPlansIdenticalQueriesFullShare(t *testing.T) {
 		t.Fatalf("donor adopt stats %+v, want all-donated", st)
 	}
 	st := adoptStatsOf(t, srv, "q2")
-	if !st.FullShare() || !st.ResidueShared {
-		t.Fatalf("adopter stats %+v, want FullShare with shared residue", st)
+	if !st.FullShare() || !st.ResidueShared || st.RowsShared == 0 || st.RowsDonated != 0 {
+		t.Fatalf("adopter stats %+v, want FullShare with shared residue and rows", st)
 	}
 	tot := planTotals(srv)
 	if tot.Subscribers != 2 || tot.SharedNodes != tot.Nodes || tot.Nodes == 0 {
 		t.Fatalf("plan totals %+v, want 2 subscribers sharing every node", tot)
+	}
+	if tot.Rows == 0 || tot.SharedRows != tot.Rows {
+		t.Fatalf("plan totals %+v, want one shared copy of every relation", tot)
 	}
 	if tot.NodeRefs != 2*tot.Nodes {
 		t.Fatalf("plan totals %+v, want fan-out of exactly 2 on every node", tot)
@@ -118,7 +123,7 @@ func TestSharedPlansIdenticalQueriesFullShare(t *testing.T) {
 	if err := srv.Unregister("q2"); err != nil {
 		t.Fatal(err)
 	}
-	if tot := planTotals(srv); tot.Subscribers != 0 || tot.Nodes != 0 || tot.Bases != 0 || tot.Residues != 0 {
+	if tot := planTotals(srv); tot.Subscribers != 0 || tot.Rows != 0 || tot.Nodes != 0 || tot.Bases != 0 || tot.Residues != 0 {
 		t.Fatalf("plan totals %+v after last unregister, want fully drained", tot)
 	}
 }
@@ -314,7 +319,7 @@ func TestSharedPlansChurnUnderLoad(t *testing.T) {
 	if err := srv.Unregister("pin"); err != nil {
 		t.Fatal(err)
 	}
-	if tot := planTotals(srv); tot.Subscribers != 0 || tot.Nodes != 0 || tot.Bases != 0 || tot.Residues != 0 {
+	if tot := planTotals(srv); tot.Subscribers != 0 || tot.Rows != 0 || tot.Nodes != 0 || tot.Bases != 0 || tot.Residues != 0 {
 		t.Fatalf("plan totals %+v after last unregister, want fully drained", tot)
 	}
 }
