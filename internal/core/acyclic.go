@@ -20,7 +20,10 @@ func LocalSensitivity(q *query.Query, db *relation.Database, opts Options) (*Res
 }
 
 // Result assembles the local-sensitivity outcome from the solver's current
-// pass state, scanning every non-skipped member's multiplicity table.
+// pass state, scanning every non-skipped member's multiplicity table. The
+// scans run concurrently (they only read the pass state); the reduction
+// walks members in unit order, so the result is the same at any
+// Parallelism.
 func (s *Solver) Result(db *relation.Database) (*Result, error) {
 	res := &Result{
 		PerRelation:   make(map[string]*TupleResult),
@@ -29,20 +32,34 @@ func (s *Solver) Result(db *relation.Database) (*Result, error) {
 		MaxDegree:     s.Tree.MaxDegree(),
 		Approximate:   s.Opts.TopK > 0,
 	}
+	type scan struct {
+		ui  int
+		md  *Member
+		tr  *TupleResult
+		err error
+	}
+	var scans []scan
 	for ui := range s.Units {
 		for _, md := range s.Units[ui].Members {
-			if md.Skip {
-				continue
+			if !md.Skip {
+				scans = append(scans, scan{ui: ui, md: md})
 			}
-			tr, err := s.MostSensitive(ui, md, db)
-			if err != nil {
-				return nil, err
-			}
-			res.PerRelation[md.Atom.Relation] = tr
-			if tr.Sensitivity > res.LS {
-				res.LS = tr.Sensitivity
-				res.Best = tr
-			}
+		}
+	}
+	// fn never fails: each scan keeps its own error and runs to completion,
+	// so the error reported is the first in member order, as sequentially.
+	_ = s.Opts.Do(len(scans), func(i int) error {
+		scans[i].tr, scans[i].err = s.MostSensitive(scans[i].ui, scans[i].md, db)
+		return nil
+	})
+	for _, sc := range scans {
+		if sc.err != nil {
+			return nil, sc.err
+		}
+		res.PerRelation[sc.md.Atom.Relation] = sc.tr
+		if sc.tr.Sensitivity > res.LS {
+			res.LS = sc.tr.Sensitivity
+			res.Best = sc.tr
 		}
 	}
 	return res, nil
@@ -312,7 +329,7 @@ func (s *Solver) TupleResultFromMaxima(ui int, md *Member, maxima []GroupMax, in
 			continue
 		}
 		wildcard[i] = true
-		val, ok := pickValue(predsFor(md, v))
+		val, ok := pickValue(predsOn(md.Preds, v))
 		if !ok {
 			// Contradictory predicates: no insertable tuple exists and the
 			// filtered base is empty, so nothing achieves this sensitivity.
@@ -330,10 +347,10 @@ func (s *Solver) TupleResultFromMaxima(ui int, md *Member, maxima []GroupMax, in
 	return tr, nil
 }
 
-// predsFor returns md's predicates over exactly the variable v.
-func predsFor(md *Member, v string) []query.Predicate {
+// predsOn returns the predicates of preds over exactly the variable v.
+func predsOn(preds []query.Predicate, v string) []query.Predicate {
 	var out []query.Predicate
-	for _, p := range md.Preds {
+	for _, p := range preds {
 		if p.Var == v {
 			out = append(out, p)
 		}

@@ -109,11 +109,13 @@ func NaiveLocalSensitivity(q *query.Query, db *relation.Database, opts NaiveOpti
 // representativeDomains returns, for each variable of atom a, its
 // representative domain with respect to that relation (Definition 3.1): the
 // intersection of the active domains of every other atom containing the
-// variable, or a single arbitrary active value when the variable occurs
-// nowhere else.
+// variable, or a single value when the variable occurs nowhere else. Only
+// values satisfying a's own selection predicates on the variable are kept,
+// since an inserted tuple failing them joins nothing.
 func representativeDomains(q *query.Query, db *relation.Database, a query.Atom) ([][]int64, error) {
 	out := make([][]int64, len(a.Vars))
 	for i, v := range a.Vars {
+		preds := predsOn(q.Selections[a.Relation], v)
 		var dom []int64
 		first := true
 		for _, other := range q.Atoms {
@@ -141,22 +143,51 @@ func representativeDomains(q *query.Query, db *relation.Database, a query.Atom) 
 			}
 		}
 		if first {
-			// Variable occurs only in a: one arbitrary value from a's own
-			// active domain, or 0 when the relation is empty.
+			// Variable occurs only in a: every value satisfying the
+			// predicates yields the same count, so one suffices. The
+			// candidates are a's active domain plus each predicate's
+			// constant and its neighbours, which reach a satisfying value
+			// of any satisfiable conjunction of comparisons.
 			r := db.Relation(a.Relation)
 			act, err := r.ActiveDomain(r.Attrs[i])
 			if err != nil {
 				return nil, err
 			}
-			if len(act) > 0 {
-				dom = act[:1]
-			} else {
-				dom = []int64{0}
+			for _, p := range preds {
+				act = append(act, p.Value-1, p.Value, p.Value+1)
 			}
+			if len(act) == 0 {
+				act = []int64{0}
+			}
+			dom = nil
+			for _, x := range act {
+				if satisfiesAll(preds, x) {
+					dom = []int64{x}
+					break
+				}
+			}
+		} else {
+			kept := dom[:0] // dom is a fresh slice
+			for _, x := range dom {
+				if satisfiesAll(preds, x) {
+					kept = append(kept, x)
+				}
+			}
+			dom = kept
 		}
 		out[i] = dom
 	}
 	return out, nil
+}
+
+// satisfiesAll reports whether x satisfies every predicate of preds.
+func satisfiesAll(preds []query.Predicate, x int64) bool {
+	for _, p := range preds {
+		if !p.Op.Eval(x, p.Value) {
+			return false
+		}
+	}
+	return true
 }
 
 func intersectSorted(a, b []int64) []int64 {

@@ -81,6 +81,38 @@ func TestRepresentativeDomains(t *testing.T) {
 	}
 }
 
+// TestNaiveSelectionOnPrivateVariable is the regression case for a
+// selection on a variable private to the inserted atom: the oracle used to
+// pick an arbitrary active value for it (here C=1, failing R1.C >= 5), so
+// no insertion into R1 counted and it reported LS 0. Inserting R1(x,2,5)
+// adds 1·3 answers, which is what the engine reports.
+func TestNaiveSelectionOnPrivateVariable(t *testing.T) {
+	db := relation.MustNewDatabase(
+		relation.MustNew("R1", []string{"A", "B", "C"}, []relation.Tuple{{1, 1, 1}, {2, 2, 2}, {3, 1, 3}, {4, 3, 4}}),
+		relation.MustNew("R2", []string{"B", "D"}, []relation.Tuple{{1, 1}, {2, 1}, {2, 2}, {2, 3}, {3, 4}}),
+		relation.MustNew("R3", []string{"D", "E"}, []relation.Tuple{{1, 1}, {2, 1}, {3, 1}, {4, 2}}),
+	)
+	q := query.MustNew("q", []query.Atom{
+		{Relation: "R1", Vars: []string{"A", "B", "C"}},
+		{Relation: "R2", Vars: []string{"B", "D"}},
+		{Relation: "R3", Vars: []string{"D", "E"}},
+	}, map[string][]query.Predicate{"R1": {{Var: "C", Op: query.Ge, Value: 5}}})
+	engine, err := LocalSensitivity(q, db, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	naive, err := NaiveLocalSensitivity(q, db, NaiveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if engine.LS != 3 || naive.LS != 3 {
+		t.Fatalf("LS engine=%d naive=%d, want 3 from both", engine.LS, naive.LS)
+	}
+	if tr := naive.PerRelation["R1"]; tr.Values[1] != 2 || tr.Values[2] < 5 {
+		t.Fatalf("naive R1 tuple %v, want (x, 2, c>=5)", tr.Values)
+	}
+}
+
 func TestIntersectSorted(t *testing.T) {
 	got := intersectSorted([]int64{1, 2, 4, 6}, []int64{2, 3, 4, 7})
 	if len(got) != 2 || got[0] != 2 || got[1] != 4 {

@@ -10,52 +10,90 @@ import (
 )
 
 // TestParallelismInvariance checks that the engine returns identical results
-// at every Parallelism setting, on the Figure 1 fixture and on randomized
+// at every Parallelism setting, on the Figure 1 fixture, on randomized
 // star-join instances (several independent subtrees, exercising concurrent
-// botjoin/topjoin scheduling).
+// botjoin/topjoin scheduling and member scans), and on a path where every
+// relation ties for LS. Best must be the first maximum in member order.
 func TestParallelismInvariance(t *testing.T) {
 	type instance struct {
 		name string
-		run  func(parallelism int) (*Result, error)
+		q    *query.Query
+		db   *relation.Database
 	}
-	var instances []instance
-
-	instances = append(instances, instance{"figure1", func(p int) (*Result, error) {
-		return LocalSensitivity(figure1Query(), figure1DB(), Options{Parallelism: p})
-	}})
+	instances := []instance{{"figure1", figure1Query(), figure1DB()}}
 
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 3; trial++ {
 		db, q := randomStar(rng, 4, 60)
-		trial := trial
-		instances = append(instances, instance{
-			fmt.Sprintf("star%d", trial),
-			func(p int) (*Result, error) { return LocalSensitivity(q, db, Options{Parallelism: p}) },
-		})
+		instances = append(instances, instance{fmt.Sprintf("star%d", trial), q, db})
 	}
 
+	var rels []*relation.Relation
+	var atoms []query.Atom
+	for i := 0; i < 6; i++ {
+		name, vars := fmt.Sprintf("R%d", i), []string{fmt.Sprintf("X%d", i), fmt.Sprintf("X%d", i+1)}
+		rels = append(rels, relation.MustNew(name, vars, []relation.Tuple{{1, 1}}))
+		atoms = append(atoms, query.Atom{Relation: name, Vars: vars})
+	}
+	instances = append(instances, instance{"ties", query.MustNew("ties", atoms, nil), relation.MustNewDatabase(rels...)})
+
 	for _, inst := range instances {
-		base, err := inst.run(1)
-		if err != nil {
-			t.Fatalf("%s sequential: %v", inst.name, err)
-		}
-		for _, p := range []int{0, 2, 8} {
-			got, err := inst.run(p)
+		var base *Result
+		for _, p := range []int{1, 0, 2, 8} {
+			got, err := LocalSensitivity(inst.q, inst.db, Options{Parallelism: p})
 			if err != nil {
 				t.Fatalf("%s par=%d: %v", inst.name, p, err)
 			}
-			if got.LS != base.LS || got.Count != base.Count {
-				t.Fatalf("%s par=%d: (LS=%d,Count=%d) != sequential (LS=%d,Count=%d)",
-					inst.name, p, got.LS, got.Count, base.LS, base.Count)
-			}
-			for rel, tr := range base.PerRelation {
-				if got.PerRelation[rel].Sensitivity != tr.Sensitivity {
-					t.Fatalf("%s par=%d: relation %s sensitivity %d != %d",
-						inst.name, p, rel, got.PerRelation[rel].Sensitivity, tr.Sensitivity)
+			for _, a := range inst.q.Atoms {
+				if got.PerRelation[a.Relation].Sensitivity == got.LS {
+					if got.Best.Relation != a.Relation {
+						t.Fatalf("%s par=%d: best is %s, want the first maximum %s", inst.name, p, got.Best.Relation, a.Relation)
+					}
+					break
 				}
+			}
+			if base == nil {
+				base = got
+			} else if err := resultDiff(got, base); err != nil {
+				t.Fatalf("%s par=%d vs sequential: %v", inst.name, p, err)
 			}
 		}
 	}
+}
+
+// resultDiff reports the first difference between two results: LS, Count,
+// the Best tuple, or any relation's most sensitive tuple (values, wildcards,
+// database membership and sensitivity).
+func resultDiff(got, want *Result) error {
+	if got.LS != want.LS || got.Count != want.Count {
+		return fmt.Errorf("(LS=%d, Count=%d), want (LS=%d, Count=%d)", got.LS, got.Count, want.LS, want.Count)
+	}
+	if err := tupleDiff(got.Best, want.Best); err != nil {
+		return fmt.Errorf("best: %w", err)
+	}
+	if len(got.PerRelation) != len(want.PerRelation) {
+		return fmt.Errorf("%d relations, want %d", len(got.PerRelation), len(want.PerRelation))
+	}
+	for rel, w := range want.PerRelation {
+		if err := tupleDiff(got.PerRelation[rel], w); err != nil {
+			return fmt.Errorf("relation %s: %w", rel, err)
+		}
+	}
+	return nil
+}
+
+func tupleDiff(got, want *TupleResult) error {
+	if got == nil || want == nil {
+		if got != want {
+			return fmt.Errorf("%+v, want %+v", got, want)
+		}
+		return nil
+	}
+	if got.Relation != want.Relation || got.Sensitivity != want.Sensitivity || got.InDatabase != want.InDatabase ||
+		!got.Values.Equal(want.Values) || fmt.Sprint(got.Wildcard) != fmt.Sprint(want.Wildcard) {
+		return fmt.Errorf("%+v, want %+v", *got, *want)
+	}
+	return nil
 }
 
 // randomStar builds a star join R0(X1..Xk) ⋈ S1(X1,Y1) ⋈ … ⋈ Sk(Xk,Yk):

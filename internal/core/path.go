@@ -169,7 +169,7 @@ func PathLocalSensitivity(q *query.Query, db *relation.Database) (*Result, error
 					continue
 				}
 				wildcard[x] = true
-				val, can := pickValue(predsFor(md, v))
+				val, can := pickValue(predsOn(md.Preds, v))
 				if !can {
 					feasible = false
 					break

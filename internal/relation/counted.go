@@ -26,6 +26,12 @@ type Counted struct {
 	Cnt     []int64
 	Default int64
 
+	// distinct records that no two rows are equal. The kernels that produce
+	// grouped output set it and the row-subsetting ones preserve it, so
+	// JoinGroup knows without hashing when every join row is its own group.
+	// Literals built elsewhere leave it false and are aggregated.
+	distinct bool
+
 	lookupMu  sync.Mutex
 	lookupIdx atomic.Pointer[lookupIndex]
 }
@@ -56,7 +62,7 @@ func FromRelation(r *Relation) *Counted {
 // the solver, which would otherwise deduplicate full-width rows only to
 // group them again.
 func GroupRows(attrs []string, rows []Tuple, idxs []int, keep func(Tuple) bool) *Counted {
-	out := &Counted{Attrs: append([]string(nil), attrs...)}
+	out := &Counted{Attrs: append([]string(nil), attrs...), distinct: true}
 	switch len(idxs) {
 	case 0:
 		var n int64
@@ -102,7 +108,7 @@ func GroupRows(attrs []string, rows []Tuple, idxs []int, keep func(Tuple) bool) 
 // Constant returns a zero-attribute Counted holding a single row with the
 // given count. It is the identity element of Join.
 func Constant(cnt int64) *Counted {
-	return &Counted{Attrs: nil, Rows: []Tuple{{}}, Cnt: []int64{cnt}}
+	return &Counted{Attrs: nil, Rows: []Tuple{{}}, Cnt: []int64{cnt}, distinct: true}
 }
 
 // AttrIndex returns the position of attribute a, or -1.
@@ -156,7 +162,7 @@ func (c *Counted) GroupBy(attrs []string) (*Counted, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Counted{Attrs: append([]string(nil), attrs...)}
+	out := &Counted{Attrs: append([]string(nil), attrs...), distinct: true}
 	if len(attrs) == len(c.Attrs) {
 		out.Default = c.Default
 	}
@@ -188,13 +194,11 @@ func (c *Counted) GroupBy(attrs []string) (*Counted, error) {
 }
 
 // joinPlan is the shared front half of Join and JoinGroup: operand
-// validation and key/extra column resolution.
+// validation and key column resolution.
 type joinPlan struct {
-	shared   []string
-	aIdx     []int
-	bIdx     []int
-	extra    []string
-	extraIdx []int
+	shared []string
+	aIdx   []int
+	bIdx   []int
 }
 
 func planJoin(a, b *Counted) (*joinPlan, error) {
@@ -212,11 +216,39 @@ func planJoin(a, b *Counted) (*joinPlan, error) {
 	if p.bIdx, err = b.attrIndexes(p.shared); err != nil {
 		return nil, err
 	}
-	p.extra = Minus(b.Attrs, p.shared)
-	if p.extraIdx, err = b.attrIndexes(p.extra); err != nil {
-		return nil, err
-	}
 	return p, nil
+}
+
+// placeJoin resolves each of attrs against the virtual join schema of a and
+// b: srcA[k] is a column of a, or -1 when attrs[k] is b's column srcB[k].
+// Shared attributes resolve to a (both sides are equal after matching).
+func placeJoin(a, b *Counted, attrs []string) (srcA, srcB []int, err error) {
+	srcA = make([]int, len(attrs))
+	srcB = make([]int, len(attrs))
+	for i, at := range attrs {
+		if j := a.AttrIndex(at); j >= 0 {
+			srcA[i], srcB[i] = j, -1
+			continue
+		}
+		j := b.AttrIndex(at)
+		if j < 0 {
+			return nil, nil, fmt.Errorf("counted relation: no attribute %q in %v", at, Union(a.Attrs, b.Attrs))
+		}
+		srcA[i], srcB[i] = -1, j
+	}
+	return srcA, srcB, nil
+}
+
+// fillJoinRow writes the output row of the match (ta, tb) as placed by
+// placeJoin. tb may be nil when every column resolves to a.
+func fillJoinRow(row, ta, tb Tuple, srcA, srcB []int) {
+	for k, s := range srcA {
+		if s >= 0 {
+			row[k] = ta[s]
+		} else {
+			row[k] = tb[srcB[k]]
+		}
+	}
 }
 
 // Join implements the natural join r⋈ of the paper: match on shared
@@ -235,28 +267,49 @@ func Join(a, b *Counted) (*Counted, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Counted{Attrs: Union(a.Attrs, b.Attrs)}
+	out := &Counted{Attrs: Union(a.Attrs, b.Attrs), distinct: a.distinct && b.distinct}
+	srcA, srcB, err := placeJoin(a, b, out.Attrs)
+	if err != nil {
+		return nil, err
+	}
+	joinRowsInto(out, a, b, p, srcA, srcB)
+	return out, nil
+}
+
+// joinRowsInto writes the rows of a ⋈ b into out, placing their columns by
+// srcA/srcB (see placeJoin). Rows come in a's order, each row's matches in
+// b's order: the order in which a group-by over the join first meets each
+// key, so on key-distinct operands the output is exactly that group-by's.
+func joinRowsInto(out *Counted, a, b *Counted, p *joinPlan, srcA, srcB []int) {
 	if len(p.shared) == 0 {
-		// With no shared attributes every probe matches every row of b (a
+		// With no shared attributes every row of a meets every row of b (a
 		// cross product) — unless b is empty, in which case a Default on b
 		// (necessarily zero-attribute, by the containment check) applies to
-		// every row of a.
+		// every row of a. Either way the output size is known up front.
 		if len(b.Rows) == 0 && b.Default > 0 {
-			ar := newTupleArena(len(a.Attrs), len(a.Rows))
+			out.Rows = flatRows(len(a.Rows), len(srcA))
+			out.Cnt = make([]int64, len(a.Rows))
 			for i, t := range a.Rows {
-				row := ar.alloc()
-				copy(row, t)
-				out.Rows = append(out.Rows, row)
-				out.Cnt = append(out.Cnt, MulSat(a.Cnt[i], b.Default))
+				fillJoinRow(out.Rows[i], t, nil, srcA, srcB)
+				out.Cnt[i] = MulSat(a.Cnt[i], b.Default)
 			}
-			return out, nil
+			return
 		}
-		crossProductInto(out, a, b)
-		return out, nil
+		out.Rows = flatRows(len(a.Rows)*len(b.Rows), len(srcA))
+		out.Cnt = make([]int64, len(out.Rows))
+		n := 0
+		for i, ta := range a.Rows {
+			for j, tb := range b.Rows {
+				fillJoinRow(out.Rows[n], ta, tb, srcA, srcB)
+				out.Cnt[n] = MulSat(a.Cnt[i], b.Cnt[j])
+				n++
+			}
+		}
+		return
 	}
 
 	ix := buildJoinIndex(b, p.bIdx)
-	ar := newTupleArena(len(out.Attrs), len(a.Rows))
+	ar := newTupleArena(len(srcA), len(a.Rows))
 	if ix.unique {
 		// Unique-keyed build side (e.g. any group-by output): at most one
 		// output row per probe, so presize exactly once.
@@ -269,7 +322,7 @@ func Join(a, b *Counted) (*Counted, error) {
 		if j < 0 {
 			if b.Default > 0 {
 				row := ar.alloc()
-				copy(row, t)
+				fillJoinRow(row, t, nil, srcA, srcB) // b ⊆ a: every column resolves to a
 				out.Rows = append(out.Rows, row)
 				out.Cnt = append(out.Cnt, MulSat(a.Cnt[i], b.Default))
 			}
@@ -277,16 +330,11 @@ func Join(a, b *Counted) (*Counted, error) {
 		}
 		for ; j >= 0; j = ix.next[j] {
 			row := ar.alloc()
-			copy(row, t)
-			br := b.Rows[j]
-			for x, e := range p.extraIdx {
-				row[len(t)+x] = br[e]
-			}
+			fillJoinRow(row, t, b.Rows[j], srcA, srcB)
 			out.Rows = append(out.Rows, row)
 			out.Cnt = append(out.Cnt, MulSat(a.Cnt[i], b.Cnt[j]))
 		}
 	}
-	return out, nil
 }
 
 // JoinGroup is the composite γ_attrs(r⋈(a, b)) used on every edge of the
@@ -295,37 +343,35 @@ func Join(a, b *Counted) (*Counted, error) {
 // columns, so the wide join rows are never materialized. The result is
 // identical (up to row order) to Join followed by GroupBy, including the
 // Default semantics of approximate operands.
+//
+// When both operands are key-distinct and attrs is a permutation of the
+// join schema (a GHD bag grouped onto all of its variables), every join row
+// is its own group: the rows are written straight into the output, in the
+// order the aggregator would emit them, with no hashing at all.
 func JoinGroup(a, b *Counted, attrs []string) (*Counted, error) {
 	p, err := planJoin(a, b)
 	if err != nil {
 		return nil, err
 	}
-	unionAttrs := Union(a.Attrs, b.Attrs)
-	// Resolve each group column against the virtual join schema: prefer a's
-	// column (shared attributes are equal on both sides after matching).
-	srcA := make([]int, len(attrs))
-	srcB := make([]int, len(attrs))
-	for i, at := range attrs {
-		if j := a.AttrIndex(at); j >= 0 {
-			srcA[i], srcB[i] = j, -1
-			continue
-		}
-		j := b.AttrIndex(at)
-		if j < 0 {
-			return nil, fmt.Errorf("counted relation: no attribute %q in %v", at, unionAttrs)
-		}
-		srcA[i], srcB[i] = -1, j
+	srcA, srcB, err := placeJoin(a, b, attrs)
+	if err != nil {
+		return nil, err
 	}
 	out := &Counted{Attrs: append([]string(nil), attrs...)}
+	if a.distinct && b.distinct {
+		if union := Union(a.Attrs, b.Attrs); len(attrs) == len(union) && ContainsAll(attrs, union) {
+			joinRowsInto(out, a, b, p, srcA, srcB)
+			out.distinct = true
+			return out, nil
+		}
+	}
 	agg := newGroupAgg(len(attrs), len(a.Rows))
 	key := make([]int64, len(attrs))
 
 	if len(p.shared) == 0 {
 		if len(b.Rows) == 0 && b.Default > 0 {
 			for i, t := range a.Rows {
-				for k, s := range srcA {
-					key[k] = t[s] // b ⊆ a, so every column resolves to a
-				}
+				fillJoinRow(key, t, nil, srcA, srcB) // b ⊆ a: every column resolves to a
 				agg.add(key, MulSat(a.Cnt[i], b.Default))
 			}
 			agg.emit(out)
@@ -333,13 +379,7 @@ func JoinGroup(a, b *Counted, attrs []string) (*Counted, error) {
 		}
 		for i, t := range a.Rows {
 			for j, br := range b.Rows {
-				for k := range key {
-					if srcA[k] >= 0 {
-						key[k] = t[srcA[k]]
-					} else {
-						key[k] = br[srcB[k]]
-					}
-				}
+				fillJoinRow(key, t, br, srcA, srcB)
 				agg.add(key, MulSat(a.Cnt[i], b.Cnt[j]))
 			}
 		}
@@ -353,22 +393,13 @@ func JoinGroup(a, b *Counted, attrs []string) (*Counted, error) {
 		j := ix.probe(t, p.aIdx, scratch)
 		if j < 0 {
 			if b.Default > 0 {
-				for k, s := range srcA {
-					key[k] = t[s]
-				}
+				fillJoinRow(key, t, nil, srcA, srcB)
 				agg.add(key, MulSat(a.Cnt[i], b.Default))
 			}
 			continue
 		}
 		for ; j >= 0; j = ix.next[j] {
-			br := b.Rows[j]
-			for k := range key {
-				if srcA[k] >= 0 {
-					key[k] = t[srcA[k]]
-				} else {
-					key[k] = br[srcB[k]]
-				}
-			}
+			fillJoinRow(key, t, b.Rows[j], srcA, srcB)
 			agg.add(key, MulSat(a.Cnt[i], b.Cnt[j]))
 		}
 	}
@@ -582,7 +613,7 @@ func Semijoin(a, b *Counted) (*Counted, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Counted{Attrs: append([]string(nil), a.Attrs...), Default: a.Default}
+	out := &Counted{Attrs: append([]string(nil), a.Attrs...), Default: a.Default, distinct: a.distinct}
 	if len(shared) == 0 {
 		// Zero-width keys: every row of a survives iff b is non-empty.
 		if len(b.Rows) > 0 {
@@ -628,7 +659,7 @@ func Semijoin(a, b *Counted) (*Counted, error) {
 
 // Filter returns the rows of c for which keep is true.
 func (c *Counted) Filter(keep func(Tuple) bool) *Counted {
-	out := &Counted{Attrs: append([]string(nil), c.Attrs...), Default: c.Default}
+	out := &Counted{Attrs: append([]string(nil), c.Attrs...), Default: c.Default, distinct: c.distinct}
 	for i, t := range c.Rows {
 		if keep(t) {
 			out.Rows = append(out.Rows, t)
@@ -679,7 +710,7 @@ func (c *Counted) TopK(k int) *Counted {
 		order[i] = i
 	}
 	sort.Slice(order, func(x, y int) bool { return c.Cnt[order[x]] > c.Cnt[order[y]] })
-	out := &Counted{Attrs: append([]string(nil), c.Attrs...)}
+	out := &Counted{Attrs: append([]string(nil), c.Attrs...), distinct: c.distinct}
 	for _, i := range order[:k] {
 		out.Rows = append(out.Rows, c.Rows[i])
 		out.Cnt = append(out.Cnt, c.Cnt[i])
@@ -771,9 +802,10 @@ func (c *Counted) Lookup(attrs []string, vals Tuple) (int64, error) {
 // Clone deep-copies c (without the lazy lookup index).
 func (c *Counted) Clone() *Counted {
 	out := &Counted{
-		Attrs:   append([]string(nil), c.Attrs...),
-		Cnt:     append([]int64(nil), c.Cnt...),
-		Default: c.Default,
+		Attrs:    append([]string(nil), c.Attrs...),
+		Cnt:      append([]int64(nil), c.Cnt...),
+		Default:  c.Default,
+		distinct: c.distinct,
 	}
 	if len(c.Rows) > 0 {
 		ar := newTupleArena(len(c.Attrs), len(c.Rows))

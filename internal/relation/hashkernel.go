@@ -180,6 +180,22 @@ func (ar *tupleArena) alloc() Tuple {
 	return Tuple(ar.chunk[off : off+ar.width : off+ar.width])
 }
 
+// flatRows returns n zeroed rows of the given width carved from a single
+// flat allocation, for outputs whose size is known exactly up front. As in
+// tupleArena.alloc, row capacities are clipped.
+func flatRows(n, width int) []Tuple {
+	if n == 0 {
+		return nil
+	}
+	flat := make([]int64, n*width)
+	rows := make([]Tuple, n)
+	for i := range rows {
+		off := i * width
+		rows[i] = Tuple(flat[off : off+width : off+width])
+	}
+	return rows
+}
+
 // joinIndex hashes one side of a join on its key columns, chaining rows with
 // equal keys through a next array (no per-bucket slice allocations). Chains
 // enumerate rows in ascending row order.
@@ -307,8 +323,10 @@ func (g *groupAgg) add(key []int64, cnt int64) {
 	}
 }
 
-// emit writes the accumulated groups into out.Rows / out.Cnt.
+// emit writes the accumulated groups into out.Rows / out.Cnt, which are
+// key-distinct by construction.
 func (g *groupAgg) emit(out *Counted) {
+	out.distinct = true
 	switch g.width {
 	case 0:
 		if g.zeroAny {

@@ -86,6 +86,141 @@ func TestJoinGroupFusedEqualsUnfused(t *testing.T) {
 	}
 }
 
+// distinctCounted builds a random Counted grouped onto its own attributes,
+// which marks it key-distinct, with about a quarter of the counts zeroed
+// (the tombstones ApplyDelta leaves behind).
+func distinctCounted(t *testing.T, rng *rand.Rand, attrs []string, rows, domain int) *Counted {
+	t.Helper()
+	c, err := randCounted(rng, attrs, rows, domain).GroupBy(attrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range c.Cnt {
+		if rng.Intn(4) == 0 {
+			c.Cnt[i] = 0
+		}
+	}
+	return c
+}
+
+// sameRows reports whether x and y hold the same rows with the same counts
+// in the same order.
+func sameRows(x, y *Counted) bool {
+	if fmt.Sprint(x.Attrs) != fmt.Sprint(y.Attrs) || x.Default != y.Default || len(x.Rows) != len(y.Rows) {
+		return false
+	}
+	for i := range x.Rows {
+		if !x.Rows[i].Equal(y.Rows[i]) || x.Cnt[i] != y.Cnt[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// checkDistinct fails when c is marked key-distinct but holds a repeated
+// row.
+func checkDistinct(t *testing.T, what string, c *Counted) {
+	t.Helper()
+	if !c.distinct {
+		return
+	}
+	seen := make(map[string]bool, len(c.Rows))
+	for _, r := range c.Rows {
+		k := fmt.Sprint([]int64(r))
+		if seen[k] {
+			t.Fatalf("%s: marked distinct but repeats row %v", what, r)
+		}
+		seen[k] = true
+	}
+}
+
+// TestJoinGroupDistinctEqualsAggregated checks the aggregation-free path of
+// JoinGroup (key-distinct operands grouped onto a permutation of the whole
+// join schema) against Join followed by GroupBy and against the
+// aggregating path: the same rows, in the same order, with the same counts.
+// It covers cross products, one and two shared columns, and b ⊆ a with a
+// Default, including a Default over no rows at all.
+func TestJoinGroupDistinctEqualsAggregated(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	schemas := []struct {
+		a, b []string
+	}{
+		{[]string{"A", "B"}, []string{"B", "C"}},           // single shared col
+		{[]string{"A", "B", "C"}, []string{"B", "C", "D"}}, // two shared cols
+		{[]string{"A", "B"}, []string{"C"}},                // cross product
+		{[]string{"A", "B", "C"}, []string{"C", "A"}},      // b ⊆ a
+		{[]string{"A", "B"}, nil},                          // b ⊆ a, no shared col
+	}
+	for trial := 0; trial < 400; trial++ {
+		sc := schemas[trial%len(schemas)]
+		a := distinctCounted(t, rng, sc.a, rng.Intn(30), 4)
+		b := distinctCounted(t, rng, sc.b, rng.Intn(30), 4)
+		if trial%2 == 1 && ContainsAll(sc.a, sc.b) {
+			b.Default = int64(rng.Intn(3) + 1)
+			if rng.Intn(2) == 0 {
+				b.Rows, b.Cnt = nil, nil // every row of a misses
+			}
+		}
+		union := Union(a.Attrs, b.Attrs)
+		attrs := make([]string, len(union))
+		for i, p := range rng.Perm(len(union)) {
+			attrs[i] = union[p]
+		}
+
+		got, err := JoinGroup(a, b, attrs)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		j, err := Join(a, b)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		want, err := j.GroupBy(attrs)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		plainA := a.Clone()
+		plainA.distinct = false // forces the aggregating path
+		agg, err := JoinGroup(plainA, b, attrs)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if !got.distinct || !j.distinct {
+			t.Fatalf("trial %d: distinct operands gave distinct=%v join, %v JoinGroup", trial, j.distinct, got.distinct)
+		}
+		if !sameRows(got, want) || !sameRows(got, agg) {
+			t.Fatalf("trial %d (a=%v b=%v default=%d group=%v):\ngot  %v %v\nwant %v %v\nagg  %v %v",
+				trial, sc.a, sc.b, b.Default, attrs, got.Rows, got.Cnt, want.Rows, want.Cnt, agg.Rows, agg.Cnt)
+		}
+		checkDistinct(t, "join", j)
+		checkDistinct(t, "JoinGroup", got)
+	}
+
+	// Duplicate rows without the bit: JoinGroup must aggregate them.
+	dup := &Counted{Attrs: []string{"A", "B"}, Rows: []Tuple{{1, 2}, {1, 2}, {3, 2}}, Cnt: []int64{1, 2, 3}}
+	b, err := (&Counted{Attrs: []string{"B", "C"}, Rows: []Tuple{{2, 5}, {2, 6}}, Cnt: []int64{1, 1}}).GroupBy([]string{"B", "C"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	attrs := []string{"C", "B", "A"}
+	got, err := JoinGroup(dup, b, attrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := Join(dup, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := j.GroupBy(attrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.distinct || len(j.Rows) != 6 || len(got.Rows) != 4 || !sameRows(got, want) {
+		t.Fatalf("duplicate input: join %v %v (distinct=%v), JoinGroup %v %v, want %v %v",
+			j.Rows, j.Cnt, j.distinct, got.Rows, got.Cnt, want.Rows, want.Cnt)
+	}
+}
+
 // TestJoinGroupErrors checks the fused kernel rejects exactly what the
 // composition rejects.
 func TestJoinGroupErrors(t *testing.T) {
@@ -270,6 +405,56 @@ func TestJoinGroupFusedAllocs(t *testing.T) {
 	})
 	if allocs > 64 {
 		t.Errorf("fused JoinGroup allocates %v times per run, want <= 64", allocs)
+	}
+}
+
+// TestJoinGroupDistinctAllocs pins the aggregation-free JoinGroup path at
+// O(chunks): a cross product fills one exactly sized arena (a constant
+// number of allocations), and a hash join fills 4096-row arena chunks plus
+// the doubling of its row slices, with no group table at all.
+func TestJoinGroupDistinctAllocs(t *testing.T) {
+	x, y := benchRelPair(1024)
+	a, err := x.GroupBy(x.Attrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := y.GroupBy(y.Attrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cx, err := a.GroupBy([]string{"A"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cy, err := b.GroupBy([]string{"C"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name   string
+		a, b   *Counted
+		attrs  []string
+		rows   int
+		budget float64
+	}{
+		{"hash", a, b, []string{"C", "B", "A"}, 10834, 72},
+		{"cross", cx, cy, []string{"C", "A"}, 1024 * 13, 12},
+	}
+	for _, c := range cases {
+		var out *Counted
+		allocs := testing.AllocsPerRun(10, func() {
+			var err error
+			if out, err = JoinGroup(c.a, c.b, c.attrs); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %d rows, %v allocs", c.name, len(out.Rows), allocs)
+		if len(out.Rows) != c.rows {
+			t.Fatalf("%s: %d rows, want %d", c.name, len(out.Rows), c.rows)
+		}
+		if allocs > c.budget {
+			t.Errorf("%s: aggregation-free JoinGroup allocates %v times per run, want <= %v", c.name, allocs, c.budget)
+		}
 	}
 }
 

@@ -78,12 +78,7 @@ func (sh *shard) idle() bool {
 // umu before deciding how to release the unit's subscription.
 func (sh *shard) processTransitions(s *Server, cut int64) {
 	sh.umu.Lock()
-	changed := len(sh.retired) > 0
-	for _, u := range sh.retired {
-		u.sess.ReleaseShared()
-		u.store = nil
-	}
-	sh.retired = nil
+	changed := sh.releaseRetired()
 	for _, u := range sh.units {
 		if u.pendingStore == nil || cut <= u.installCut {
 			continue

@@ -955,24 +955,24 @@ func (s *Server) Unregister(id string) error {
 			sh.units[i] = nil
 		}
 		sh.units = keep
-		sh.umu.Unlock()
+		// A round in flight may still step a dropped unit from its snapshot
+		// (the unit stays a consistent store subscriber for that round), so
+		// a busy shard releases it itself once the round is over. Deciding
+		// under umu orders this against that release (see shard.run).
+		idle := sh.idle()
 		for _, u := range dropped {
 			if u.store == nil && u.pendingStore == nil {
 				continue
 			}
 			u.pendingStore = nil
-			if sh.idle() {
+			if idle {
 				u.sess.ReleaseShared()
 				u.store = nil
 			} else {
-				// A round in flight may still step the unit from its
-				// snapshot (the unit stays a consistent store subscriber
-				// for that round); release at the next round top instead.
-				sh.umu.Lock()
 				sh.retired = append(sh.retired, u)
-				sh.umu.Unlock()
 			}
 		}
+		sh.umu.Unlock()
 	}
 	s.refreshPlanGauges()
 	return nil

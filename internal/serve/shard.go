@@ -108,14 +108,16 @@ type shard struct {
 	qclosed bool
 
 	// applying marks a round in flight between next() handing it out and
-	// the end of that run-loop iteration, so Register/Unregister can tell
-	// an empty queue apart from a truly quiescent shard. Guarded by mu.
+	// the end of its stepping and publishing, so Register/Unregister can
+	// tell an empty queue apart from a shard whose sessions are quiescent.
+	// Guarded by mu; cleared under umu.
 	applying bool
 
 	// retired holds units stripped by Unregister while the shard was busy;
-	// their shared-plan subscriptions are released at the next round top
-	// (processTransitions), after the in-flight round that may still step
-	// them has finished. Guarded by umu.
+	// their shared-plan subscriptions are released once the in-flight round
+	// that may still step them has finished: at the end of that round, or
+	// at the next round top (processTransitions) if it was only queued.
+	// Guarded by umu.
 	retired []*unit
 
 	// watermark is the LSN through which every entry routed to this shard
@@ -330,6 +332,21 @@ func (sh *shard) run(s *Server) {
 			s.m.publishView.Observe(time.Since(publishStart).Seconds())
 			ringGauge.Set(float64(depth))
 		}
+		// No session is read past this point. Release what Unregister
+		// retired during the round and leave the applying state before the
+		// round becomes visible, both under umu, where Unregister chooses
+		// between retiring and releasing: nothing is retired after this
+		// release has run, and a client that saw its write applied finds
+		// the shard idle, so its Unregister releases synchronously.
+		sh.umu.Lock()
+		released := sh.releaseRetired()
+		sh.mu.Lock()
+		sh.applying = false
+		sh.mu.Unlock()
+		sh.umu.Unlock()
+		if released {
+			s.refreshPlanGauges()
+		}
 		sh.watermark.Store(rd.cut)
 		epochGauge.Set(float64(rd.cut))
 		if s.async {
@@ -343,10 +360,20 @@ func (sh *shard) run(s *Server) {
 			s.notify()
 			rd.wg.Done()
 		}
-		sh.mu.Lock()
-		sh.applying = false
-		sh.mu.Unlock()
 	}
+}
+
+// releaseRetired drops the shared-plan subscriptions of the retired units
+// and reports whether there were any. The caller holds umu, and no round
+// steps the units.
+func (sh *shard) releaseRetired() bool {
+	for _, u := range sh.retired {
+		u.sess.ReleaseShared()
+		u.store = nil
+	}
+	released := len(sh.retired) > 0
+	sh.retired = nil
+	return released
 }
 
 // stepGroup applies one round to a group of units subscribed to the same
