@@ -212,15 +212,16 @@ func (g *gtState) maxRow() (relation.Tuple, int64) {
 	return g.table.Rows[g.argmax], g.max
 }
 
-// edgeDelta evaluates γ_keep(delta ⋈ others) through a plan cached per
+// edgeDelta evaluates γ_keep(delta ⋈ others()) through a plan cached per
 // (target table, changed input). The plan compiles once and survives
-// in-place patches of every operand.
-func (s *Session) edgeDelta(tgt, src, delta *relation.Counted, others []*relation.Counted, keep []string) (*relation.Counted, error) {
+// in-place patches of every operand, so the operand list is built only on
+// the first call.
+func (s *Session) edgeDelta(tgt, src, delta *relation.Counted, others func() []*relation.Counted, keep []string) (*relation.Counted, error) {
 	k := edgeKey{tgt, src}
 	plan, ok := s.plans[k]
 	if !ok {
 		var err error
-		plan, err = relation.CompileExpand(delta.Attrs, others, keep, s.tables.indexFor)
+		plan, err = relation.CompileExpand(delta.Attrs, others(), keep, s.tables.indexFor)
 		if err != nil {
 			return nil, err
 		}
@@ -272,11 +273,14 @@ func (s *Session) propagate(ref memberRef, dbase *relation.Counted) error {
 			drel = &relation.Counted{Attrs: u.Vars} // lead saw no bag survivors
 		}
 	} else if u.Rel != md.Base {
-		others := make([]*relation.Counted, 0, len(u.Members)-1)
-		for _, m2 := range u.Members {
-			if m2 != md {
-				others = append(others, m2.Base)
+		others := func() []*relation.Counted {
+			out := make([]*relation.Counted, 0, len(u.Members)-1)
+			for _, m2 := range u.Members {
+				if m2 != md {
+					out = append(out, m2.Base)
+				}
 			}
+			return out
 		}
 		var err error
 		drel, err = s.edgeDelta(u.Rel, md.Base, dbase, others, u.Vars)
@@ -302,19 +306,22 @@ func (s *Session) propagate(ref memberRef, dbase *relation.Counted) error {
 	if len(drel.Rows) > 0 {
 		var dbot *relation.Counted
 		if lnLead {
-			childBots := make([]*relation.Counted, len(node.Children))
-			for k, c := range node.Children {
-				childBots[k] = sol.Bot[c.Index]
+			childBots := func() []*relation.Counted {
+				out := make([]*relation.Counted, len(node.Children))
+				for k, c := range node.Children {
+					out[k] = sol.Bot[c.Index]
+				}
+				return out
 			}
 			var err error
-			dbot, err = s.edgeDelta(sol.Bot[ref.ui], u.Rel, drel, childBots, node.ConnectorVars())
+			dbot, err = s.edgeDelta(sol.Bot[ref.ui], u.Rel, drel, childBots, s.conn[ref.ui])
 			if err != nil {
 				return err
 			}
 		} else if e := ln.memo[s.pos]; e != nil && e.dbot != nil {
 			dbot = e.dbot
 		} else {
-			dbot = &relation.Counted{Attrs: node.ConnectorVars()}
+			dbot = &relation.Counted{Attrs: s.conn[ref.ui]}
 		}
 		child, dchild := node, dbot
 		for len(dchild.Rows) > 0 {
@@ -343,13 +350,16 @@ func (s *Session) propagate(ref memberRef, dbase *relation.Counted) error {
 				child, dchild = p, e.dbot
 				continue
 			}
-			operands := []*relation.Counted{sol.Units[p.Index].Rel}
-			for _, c := range p.Children {
-				if c != child {
-					operands = append(operands, sol.Bot[c.Index])
+			operands := func() []*relation.Counted {
+				out := []*relation.Counted{sol.Units[p.Index].Rel}
+				for _, c := range p.Children {
+					if c != child {
+						out = append(out, sol.Bot[c.Index])
+					}
 				}
+				return out
 			}
-			dnext, err := s.edgeDelta(sol.Bot[p.Index], sol.Bot[child.Index], dchild, operands, p.ConnectorVars())
+			dnext, err := s.edgeDelta(sol.Bot[p.Index], sol.Bot[child.Index], dchild, operands, s.conn[p.Index])
 			if err != nil {
 				return err
 			}
@@ -379,8 +389,7 @@ func (s *Session) propagate(ref memberRef, dbase *relation.Counted) error {
 		}
 	}
 	for _, bc := range botDeltas {
-		bn := sol.Tree.Nodes[bc.idx]
-		for _, sib := range bn.Siblings() {
+		for _, sib := range s.sibs[bc.idx] {
 			queue = append(queue, topJob{sib, sol.Bot[bc.idx], bc.delta})
 		}
 	}
@@ -389,19 +398,22 @@ func (s *Session) propagate(ref memberRef, dbase *relation.Counted) error {
 		queue = queue[1:]
 		i := job.node.Index
 		parent := job.node.Parent
-		var others []*relation.Counted
-		if p := sol.Units[parent.Index].Rel; p != job.src {
-			others = append(others, p)
-		}
-		if t := sol.Top[parent.Index]; t != nil && t != job.src {
-			others = append(others, t)
-		}
-		for _, sib := range job.node.Siblings() {
-			if b := sol.Bot[sib.Index]; b != job.src {
-				others = append(others, b)
+		others := func() []*relation.Counted {
+			var out []*relation.Counted
+			if p := sol.Units[parent.Index].Rel; p != job.src {
+				out = append(out, p)
 			}
+			if t := sol.Top[parent.Index]; t != nil && t != job.src {
+				out = append(out, t)
+			}
+			for _, sib := range s.sibs[i] {
+				if b := sol.Bot[sib.Index]; b != job.src {
+					out = append(out, b)
+				}
+			}
+			return out
 		}
-		dtop, err := s.edgeDelta(sol.Top[i], job.src, job.delta, others, job.node.ConnectorVars())
+		dtop, err := s.edgeDelta(sol.Top[i], job.src, job.delta, others, s.conn[i])
 		if err != nil {
 			return err
 		}

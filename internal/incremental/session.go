@@ -104,6 +104,12 @@ type Session struct {
 	updates       int
 	rebuilds      int
 
+	// conn and sibs hold each join-tree node's connector variables and
+	// sibling list, indexed by node, so propagation does not recompute
+	// (and allocate) them per update.
+	conn [][]string
+	sibs [][]*query.Node
+
 	// pruned holds the arity of database relations the query never
 	// references: Open does not clone them (satellite of the plan-sharing
 	// refactor), but updates addressed to them must still validate and
@@ -114,8 +120,9 @@ type Session struct {
 	// shared.go: store is the hash-cons domain, pos the session's cursor in
 	// the shared update stream, and srows/sbase/snode/sres the refcounted
 	// entries this session holds (sbase indexed [ui][mi]); cursors points
-	// at every held entry's position. adopt records what Adopt shared
-	// versus donated.
+	// at every held entry's position. canRide is set when the session holds
+	// its residue and every one of its relations from the store (StepGroup).
+	// adopt records what Adopt shared versus donated.
 	store   *PlanStore
 	pos     int64
 	srows   map[string]*internedRows
@@ -123,6 +130,7 @@ type Session struct {
 	snode   []*internedNode
 	sres    *internedResidue
 	cursors []*int64
+	canRide bool
 	adopt   AdoptStats
 
 	// Instruments from Options.Metrics; all nil when no registry was given.
@@ -197,6 +205,12 @@ func (s *Session) build() error {
 	s.sol = sol
 	s.doublyAcyclic = sol.Tree.IsDoublyAcyclic()
 	s.maxDegree = sol.Tree.MaxDegree()
+	s.conn = make([][]string, len(sol.Tree.Nodes))
+	s.sibs = make([][]*query.Node, len(sol.Tree.Nodes))
+	for _, n := range sol.Tree.Nodes {
+		s.conn[n.Index] = n.ConnectorVars()
+		s.sibs[n.Index] = n.Siblings()
+	}
 	s.memberOf = make(map[string]memberRef)
 	s.effPos = make(map[string][]int)
 	s.selFn = make(map[string]func(relation.Tuple) bool)
@@ -354,7 +368,7 @@ func (s *Session) applyRow(up Update) (memberRef, bool, error) {
 // subscribers fed the same stream, so positions stay aligned); a
 // propagation error may leave a shared table half-patched and poisons the
 // whole store instead. A fully-shared follower whose lead already applied
-// the position skips propagation: it only re-reads its component total.
+// the position skips propagation: it catches up by one position (catchUp).
 func (s *Session) applyOne(up Update) error {
 	if s.store != nil {
 		if err := s.store.fail; err != nil {
@@ -381,10 +395,8 @@ func (s *Session) applyOne(up Update) error {
 	if s.sres != nil && s.sres.Val.pos != s.pos {
 		// Fully-shared follower: holding the residue means holding every
 		// base and node too, and the lead has patched them all at this
-		// position. Only the component total is private.
-		root := s.sol.Comp[ref.ui]
-		s.sol.Totals[root] = s.sol.Bot[root].SumCnt()
-		s.advanceShared()
+		// position. applyRow has already replayed the row outcome.
+		s.catchUp(s.pos + 1)
 		return nil
 	}
 	md := s.sol.Units[ref.ui].Members[ref.mi]
@@ -437,7 +449,27 @@ func (s *Session) Count() int64 { return s.sol.CountTotal() }
 // when maxima tie, the reported witness tuple may differ, and wildcard
 // positions of a witness hold any feasible value rather than a value
 // copied from a stored row.
+//
+// A session holding a shared residue memoizes the result on it by stream
+// position, so every holder at the same position gets the same *Result.
+// Callers must treat it as read-only.
 func (s *Session) LS() (*core.Result, error) {
+	if r := s.sres; r != nil && r.Val.ls != nil && r.Val.lsPos == s.pos {
+		return r.Val.ls, nil
+	}
+	res, err := s.assembleLS()
+	if err != nil {
+		return nil, err
+	}
+	if r := s.sres; r != nil && r.Val.pos == s.pos {
+		// Only a holder caught up with the shared tables memoizes.
+		r.Val.ls, r.Val.lsPos = res, s.pos
+	}
+	return res, nil
+}
+
+// assembleLS builds a fresh Result from the group-table maxima.
+func (s *Session) assembleLS() (*core.Result, error) {
 	sol := s.sol
 	res := &core.Result{
 		PerRelation:   make(map[string]*core.TupleResult),

@@ -24,9 +24,18 @@ package incremental
 //     multiplicity-factor) state" — intern too. Sharing the residue implies
 //     sharing every base and node, so such a *fully-shared* follower skips
 //     propagation altogether: once the lead has applied a position, the
-//     follower replays the row outcome, re-reads its one private component
-//     total from the shared root botjoin, and bumps its cursor, without
-//     allocating.
+//     follower replays the row outcome, re-reads its private component
+//     totals from the shared root botjoins, and bumps its cursor, without
+//     allocating (catchUp).
+//
+// Riders: StepGroup, which steps a round through a store's subscribers,
+// lets only the first holder of each residue (the stepper) apply the
+// round's updates when the holders also share all their rows. Every other
+// holder rides: it does nothing per update and calls catchUp once at the
+// end of the round, so a residue held by N sessions costs one session's
+// work per update plus N-1 catch-ups per round. Session.LS memoizes its
+// Result on the residue by stream position, so the holders at one position
+// also share one LS() assembly and one read-only *core.Result.
 //
 // Delta application is lead/follower with per-node stream positions: all
 // subscribers of a store are fed the same update stream; the first session
@@ -39,10 +48,10 @@ package incremental
 // subscriber reaches it first.
 //
 // Concurrency discipline: all sessions attached to one store must apply
-// updates from a single goroutine (the serving layer's shard loop), and
-// must be fed identical update streams. Adopt and ReleaseShared may be
-// called from other goroutines — they touch the refcount maps under the
-// store mutex — but both additionally require the store quiescent (no
+// updates, and read LS, from a single goroutine (the serving layer's shard
+// loop), and must be fed identical update streams. Adopt and ReleaseShared
+// may be called from other goroutines — they touch the refcount maps under
+// the store mutex — but both additionally require the store quiescent (no
 // round in flight): Adopt compares against the shared tables, and
 // ReleaseShared copies the shared rows the session takes private. The
 // serving layer guarantees it by attaching and detaching either under the
@@ -55,6 +64,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"tsens/internal/core"
 	"tsens/internal/relation"
 )
 
@@ -168,6 +178,12 @@ type sharedResidue struct {
 	gts     []*gtState
 	gtTabs  []*sharedTabs // index homes of gts[i].table, same order
 	pos     int64
+
+	// ls memoizes Session.LS at stream position lsPos: every holder at that
+	// position reads the same tables and component totals, so one Result
+	// serves them all.
+	ls    *core.Result
+	lsPos int64
 }
 
 type (
@@ -281,10 +297,10 @@ func (ps *PlanStore) Stats() PlanStoreStats {
 }
 
 // Trim drops memoized deltas and row outcomes no live subscriber can still
-// need. The serving layer calls it after each drain round; attached
-// sessions also call it opportunistically every trimStride updates. Must not run
-// concurrently with subscriber update application (same-goroutine
-// discipline), because it reads subscriber cursors.
+// need. Attached sessions call it every trimStride updates they apply, and
+// StepGroup once at the end of a round whose riders crossed such a
+// boundary. Must not run concurrently with subscriber update application
+// (same-goroutine discipline), because it reads subscriber cursors.
 func (ps *PlanStore) Trim() {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
@@ -637,6 +653,7 @@ func (s *Session) Adopt(store *PlanStore) (AdoptStats, error) {
 	s.snode = snode
 	s.sres = sres
 	s.cursors = cursors
+	s.canRide = sres != nil && len(srows) == len(s.db.Names())
 	s.adopt = st
 	store.subs[s] = struct{}{}
 	return st, nil
@@ -693,6 +710,7 @@ func (s *Session) ReleaseShared() {
 	s.snode = nil
 	s.sres = nil
 	s.cursors = nil
+	s.canRide = false
 	s.adopt = AdoptStats{}
 }
 
@@ -732,6 +750,117 @@ func (s *Session) advanceShared() {
 	}
 	if s.pos%trimStride == 0 {
 		s.store.Trim()
+	}
+}
+
+// catchUp advances a fully-shared session from its cursor to target in one
+// step: the stepper that holds the same residue has applied every position
+// in between, to the rows, bases, nodes and residue alike, so the session
+// only re-reads each component total from the shared root botjoins and
+// bumps its cursor. Every position in the span must have been applied
+// without error: a rejected update stops the stepper, and whoever catches
+// up to it then applies that update itself (applyOne's follower path, or a
+// rider at its turn in StepGroup). It returns how many positions it
+// consumed, and leaves memo trimming to the steppers (advanceShared) and
+// to StepGroup.
+func (s *Session) catchUp(target int64) int64 {
+	from := s.pos
+	sol := s.sol
+	for _, root := range sol.Tree.Roots {
+		sol.Totals[root.Index] = sol.Bot[root.Index].SumCnt()
+	}
+	s.pos = target
+	if target > s.store.clock.Load() {
+		s.store.clock.Store(target)
+	}
+	return target - from
+}
+
+// StepGroup applies ups, in order, to a group of sessions: either a single
+// session (a plain Apply), or sessions attached to one PlanStore at the
+// same stream position. errs[i] receives g[i]'s first error, after which
+// g[i] applies nothing more.
+//
+// Within a group updates interleave one at a time across the sessions: a
+// partially-sharing session's private delta-joins read shared operand
+// tables, which therefore must not have advanced past the update at hand.
+// Sessions that hold the same residue and all of their rows from the store
+// compute identical state, so for each residue only its first holder (the
+// stepper) applies the updates. Every other holder is a rider: it does
+// nothing per update, and once the round ends it catches up in one call to
+// its stepper's position. When the stepper fails on an update, each of its
+// riders, at its own turn in that update, catches up to it and applies it
+// itself, so it fails exactly where, and with the error, per-update
+// stepping would have. Groups bypass Apply's bulk-rebuild fallback: every
+// update goes through delta propagation.
+func StepGroup(g []*Session, ups []Update, errs []error) {
+	if len(ups) == 0 {
+		return
+	}
+	if len(g) == 1 {
+		errs[0] = g[0].Apply(ups)
+		return
+	}
+	// lead[i] is the stepper g[i] rides, or i itself for a stepper.
+	lead := make([]int, len(g))
+	var byRes map[*internedResidue]int
+	for i, s := range g {
+		lead[i] = i
+		if !s.canRide {
+			continue
+		}
+		if byRes == nil {
+			byRes = make(map[*internedResidue]int)
+		}
+		if l, ok := byRes[s.sres]; !ok {
+			byRes[s.sres] = i
+		} else if g[l].pos == s.pos {
+			lead[i] = l
+		}
+	}
+	for k, up := range ups {
+		for i, s := range g {
+			if l := lead[i]; l != i {
+				if errs[l] == nil {
+					continue // riding
+				}
+				// Its stepper failed on this update: catch up to it and
+				// apply it, as per-update stepping would have. From here
+				// on the session steps (or has failed) on its own.
+				lead[i] = i
+				s.ride(s.pos + int64(k))
+			} else if errs[i] != nil {
+				continue
+			}
+			errs[i] = s.applyOne(up)
+		}
+	}
+	// One trim per round, not one per rider: the memos of the round stay
+	// pinned until the last rider has caught up.
+	var trim *PlanStore
+	for i, r := range g {
+		if l := lead[i]; l != i {
+			from := r.pos
+			r.ride(g[l].pos)
+			if from/trimStride != r.pos/trimStride {
+				trim = r.store
+			}
+		}
+	}
+	if trim != nil {
+		trim.Trim()
+	}
+}
+
+// ride is a rider's catch-up to target, counted as the updates it
+// absorbs: tsens_session_updates_total grows by every absorbed position,
+// and tsens_session_update_seconds gets no sample, since nothing was
+// applied one at a time.
+func (s *Session) ride(target int64) {
+	n := s.catchUp(target)
+	s.updates += int(n)
+	if s.updatesTotal != nil && n > 0 {
+		s.updatesTotal.Add(n)
 	}
 }
 

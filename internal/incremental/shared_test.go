@@ -1,11 +1,13 @@
 package incremental
 
 import (
+	"errors"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"tsens/internal/core"
+	"tsens/internal/obs"
 	"tsens/internal/query"
 	"tsens/internal/relation"
 	"tsens/internal/workload"
@@ -609,5 +611,343 @@ func TestSharedRowsDivergedStayPrivate(t *testing.T) {
 	}
 	if !b.Has("R1", relation.Tuple{77, 77}) || a.Has("R1", relation.Tuple{77, 77}) {
 		t.Fatal("sessions with diverged R1 read the same rows")
+	}
+}
+
+// stepEach is per-update stepping, the discipline StepGroup replaces: every
+// session applies each update in turn, and stops at its first error.
+func stepEach(g []*Session, ups []Update, errs []error) {
+	for _, up := range ups {
+		for i, s := range g {
+			if errs[i] == nil {
+				errs[i] = s.Apply([]Update{up})
+			}
+		}
+	}
+}
+
+// partialVariant is tc's query with one more selection on its last atom:
+// the atom's subtree and its ancestors fingerprint differently, everything
+// else interns with the original plan, and the residue never does.
+func partialVariant(t *testing.T, tc streamCase) *query.Query {
+	t.Helper()
+	last := tc.atoms[len(tc.atoms)-1]
+	sels := make(map[string][]query.Predicate)
+	for rel, ps := range tc.sels {
+		sels[rel] = ps
+	}
+	sels[last.Relation] = append(slices.Clone(sels[last.Relation]),
+		query.Predicate{Var: last.Vars[0], Op: query.Le, Value: 1})
+	q, err := query.New(tc.name+"_partial", tc.atoms, sels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
+// TestSharedRidersDifferential drives rounds of updates through StepGroup
+// over four identical subscribers (one steps, three ride) and a partial
+// sharer placed between them, and the same rounds through per-update
+// stepping over a second, identically built store. After every round each
+// session must match its per-update twin, a private session, and the
+// from-scratch solver. The last round carries a delete of an absent tuple
+// in its middle: every session must fail with the per-update error at the
+// per-update position, having absorbed exactly the updates before it.
+func TestSharedRidersDifferential(t *testing.T) {
+	for _, tc := range streamCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(53))
+			q, db, opts := buildCase(t, tc, rng, 12, 4)
+			pq := partialVariant(t, tc)
+			m := newMirror(db)
+			const partial = 2
+			build := func() []*Session {
+				store := NewPlanStore()
+				var g []*Session
+				for i := 0; i < 5; i++ {
+					qi := q
+					if i == partial {
+						qi = pq
+					}
+					s, st := openAdopted(t, qi, db, opts, store)
+					switch {
+					case i == partial && (st.ResidueShared || st.BasesShared == 0):
+						t.Fatalf("partial sharer: %+v", st)
+					case i != partial && i > 0 && !st.ResidueShared:
+						t.Fatalf("subscriber %d not fully shared: %+v", i, st)
+					case i != partial && !s.canRide:
+						t.Fatalf("subscriber %d cannot ride", i)
+					}
+					g = append(g, s)
+				}
+				return g
+			}
+			rounds, perUpdate := build(), build()
+			private, err := Open(q, db, Options{Options: opts})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rels := tc.rels
+			if rels == nil {
+				for _, a := range tc.atoms {
+					rels = append(rels, a.Relation)
+				}
+			}
+			// rotate returns g starting at seat r, so every identical
+			// subscriber takes a turn as the stepper.
+			rotate := func(g []*Session, r int) []*Session {
+				r %= len(g)
+				return append(slices.Clone(g[r:]), g[:r]...)
+			}
+			check := func(round int) {
+				t.Helper()
+				for i := range rounds {
+					if rounds[i].pos != perUpdate[i].pos || rounds[i].Updates() != perUpdate[i].Updates() {
+						t.Fatalf("round %d seat %d: pos %d updates %d, per-update pos %d updates %d", round, i,
+							rounds[i].pos, rounds[i].Updates(), perUpdate[i].pos, perUpdate[i].Updates())
+					}
+					sameAnswers(t, rounds[i], perUpdate[i], round)
+					checkAgainstScratch(t, rounds[i], m, opts, round)
+					if i != partial {
+						sameAnswers(t, rounds[i], private, round)
+					}
+				}
+				a, _ := rounds[0].LS()
+				b, _ := rounds[len(rounds)-1].LS()
+				if a != b {
+					t.Fatalf("round %d: subscribers at one position got distinct LS results", round)
+				}
+			}
+			for round := 0; round < 30; round++ {
+				ups := make([]Update, 1+rng.Intn(12))
+				for k := range ups {
+					ups[k] = randomUpdate(rng, m, rels, 4)
+					m.apply(t, ups[k])
+				}
+				errs, want := make([]error, 5), make([]error, 5)
+				StepGroup(rotate(rounds, round), ups, errs)
+				stepEach(rotate(perUpdate, round), ups, want)
+				for i := range errs {
+					if errs[i] != nil || want[i] != nil {
+						t.Fatalf("round %d: StepGroup %v, per-update %v", round, errs, want)
+					}
+				}
+				if err := private.Apply(ups); err != nil {
+					t.Fatal(err)
+				}
+				check(round)
+			}
+
+			// The failing round: valid updates around a delete of a tuple no
+			// relation holds (values outside the generated domain).
+			var ups []Update
+			for k := 0; k < 3; k++ {
+				up := randomUpdate(rng, m, rels, 4)
+				m.apply(t, up)
+				ups = append(ups, up)
+			}
+			absent := Update{Rel: rels[0], Row: make(relation.Tuple, len(m.attrs[rels[0]]))}
+			for i := range absent.Row {
+				absent.Row[i] = 99
+			}
+			ups = append(ups, absent, randomUpdate(rng, m, rels, 4))
+			errs, want := make([]error, 5), make([]error, 5)
+			StepGroup(rounds, ups, errs)
+			stepEach(perUpdate, ups, want)
+			for i := range errs {
+				if errs[i] == nil || want[i] == nil || errs[i].Error() != want[i].Error() {
+					t.Fatalf("seat %d: StepGroup error %v, per-update %v", i, errs[i], want[i])
+				}
+			}
+			if err := private.Apply(ups[:3]); err != nil {
+				t.Fatal(err)
+			}
+			check(30)
+		})
+	}
+}
+
+// TestSharedRiderCatchUpAllocs pins a rider's end-of-round catch-up over a
+// 64-update round at zero allocations. The stepper runs every round ahead
+// first, so only the rider's work is measured.
+func TestSharedRiderCatchUpAllocs(t *testing.T) {
+	const runs, round = 20, 64
+	spec := workload.QTri()
+	db := workload.FacebookDataSized(40, 200, 50, 1)
+	store := NewPlanStore()
+	var g []*Session
+	for i := 0; i < 3; i++ {
+		s, _ := openAdopted(t, spec.Query, db, spec.Options(), store)
+		if !s.canRide {
+			t.Fatalf("subscriber %d cannot ride", i)
+		}
+		g = append(g, s)
+	}
+	stepper, rider := g[0], g[1]
+	for i := 0; i < (runs+1)*round; i++ {
+		up := Update{Rel: []string{"R1", "R2", "R3"}[i/2%3], Row: relation.Tuple{1000, 1001}, Insert: i%2 == 0}
+		if err := stepper.Apply([]Update{up}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(runs, func() {
+		rider.ride(rider.pos + round)
+	})
+	if allocs != 0 {
+		t.Fatalf("rider catch-up: %.1f allocs per %d-update round, want 0", allocs, round)
+	}
+	if rider.pos != stepper.pos || rider.Updates() != stepper.Updates() {
+		t.Fatalf("rider at pos %d with %d updates, stepper at %d with %d", rider.pos, rider.Updates(), stepper.pos, stepper.Updates())
+	}
+	sameAnswers(t, rider, stepper, runs)
+}
+
+// TestSharedLSMemo pins the per-residue LS memo: once one holder has
+// assembled LS at a position, every other holder at that position gets the
+// same *Result without allocating; a private session never memoizes.
+func TestSharedLSMemo(t *testing.T) {
+	spec := workload.QTri()
+	db := workload.FacebookDataSized(40, 200, 50, 1)
+	store := NewPlanStore()
+	a, _ := openAdopted(t, spec.Query, db, spec.Options(), store)
+	b, _ := openAdopted(t, spec.Query, db, spec.Options(), store)
+	errs := make([]error, 2)
+	StepGroup([]*Session{a, b}, []Update{{Rel: "R1", Row: relation.Tuple{1000, 1001}, Insert: true}}, errs)
+	if errs[0] != nil || errs[1] != nil {
+		t.Fatal(errs)
+	}
+	want, err := a.LS()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got *core.Result
+	allocs := testing.AllocsPerRun(100, func() {
+		got, _ = b.LS()
+	})
+	if allocs != 0 || got != want {
+		t.Fatalf("memo hit: %.1f allocs, same result %v", allocs, got == want)
+	}
+	private, err := Open(spec.Query, db, Options{Options: spec.Options()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p1, _ := private.LS()
+	p2, _ := private.LS()
+	if p1 == p2 {
+		t.Fatal("a private session returned a memoized result")
+	}
+}
+
+// TestSessionUpdateAllocs pins the allocation budget of one single-tuple
+// q4 update plus LS() on a private session (the path every stepper takes),
+// on the Table-1 fixture of BenchmarkSessionUpdate.
+func TestSessionUpdateAllocs(t *testing.T) {
+	const budget = 98
+	spec := workload.QTri()
+	db := workload.FacebookDataSized(120, 1200, 250, 20200409)
+	s, err := Open(spec.Query, db, Options{Options: spec.Options()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel := spec.PrimaryPrivate
+	row := db.Relation(rel).Rows[0].Clone()
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		var err error
+		if i%2 == 0 {
+			err = s.Insert(rel, row)
+		} else {
+			err = s.Delete(rel, row)
+		}
+		i++
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.LS(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("q4 update + LS: %.0f allocs", allocs)
+	if allocs > budget {
+		t.Fatalf("q4 update + LS: %.0f allocs, budget %d", allocs, budget)
+	}
+}
+
+// TestSharedRidersFailLikePerUpdate covers the failures no shared rows
+// record: a stepper rejecting an update mid-round for its shape (arity,
+// unknown relation), and a store poisoned before the round. StepGroup and
+// per-update stepping, each over its own store, must agree on every
+// session's error, cursor and update count, and on the session metrics:
+// riders add the updates they absorb to tsens_session_updates_total but
+// leave tsens_session_update_seconds without a sample.
+func TestSharedRidersFailLikePerUpdate(t *testing.T) {
+	tc := streamCases()[0] // path
+	bad := map[string]Update{
+		"arity":   {Rel: "R2", Row: relation.Tuple{1}, Insert: true},
+		"unknown": {Rel: "NOPE", Row: relation.Tuple{1, 2}, Insert: true},
+		"poison":  {},
+	}
+	for name, fail := range bad {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(61))
+			q, db, opts := buildCase(t, tc, rng, 12, 4)
+			m := newMirror(db)
+			build := func() ([]*Session, *PlanStore, *obs.Registry) {
+				reg := obs.NewRegistry()
+				store := NewPlanStore()
+				var g []*Session
+				for i := 0; i < 4; i++ {
+					s, err := Open(q, db, Options{Options: opts, Metrics: reg})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := s.Adopt(store); err != nil {
+						t.Fatal(err)
+					}
+					g = append(g, s)
+				}
+				return g, store, reg
+			}
+			rounds, rstore, rreg := build()
+			perUpdate, pstore, preg := build()
+			var ups []Update
+			for k := 0; k < 6; k++ {
+				up := randomUpdate(rng, m, []string{"R1", "R2", "R3"}, 4)
+				m.apply(t, up)
+				ups = append(ups, up)
+			}
+			errs, want := make([]error, 4), make([]error, 4)
+			StepGroup(rounds, ups, errs)
+			stepEach(perUpdate, ups, want)
+			if name == "poison" {
+				rstore.fail = errors.New("injected")
+				pstore.fail = rstore.fail
+			} else {
+				ups = []Update{ups[0], ups[1], fail, ups[2]}
+			}
+			errs, want = make([]error, 4), make([]error, 4)
+			StepGroup(rounds, ups, errs)
+			stepEach(perUpdate, ups, want)
+			for i := range rounds {
+				if errs[i] == nil || want[i] == nil || errs[i].Error() != want[i].Error() {
+					t.Fatalf("seat %d: StepGroup error %v, per-update %v", i, errs[i], want[i])
+				}
+				if rounds[i].pos != perUpdate[i].pos || rounds[i].Updates() != perUpdate[i].Updates() {
+					t.Fatalf("seat %d: pos %d updates %d, per-update pos %d updates %d", i,
+						rounds[i].pos, rounds[i].Updates(), perUpdate[i].pos, perUpdate[i].Updates())
+				}
+				sameAnswers(t, rounds[i], perUpdate[i], i)
+			}
+			total := func(reg *obs.Registry) int64 {
+				return reg.Counter("tsens_session_updates_total", "").Value()
+			}
+			if got, want := total(rreg), total(preg); got != want {
+				t.Fatalf("tsens_session_updates_total: %d with riders, %d per update", got, want)
+			}
+			samples := rreg.Histogram("tsens_session_update_seconds", "", nil).Count()
+			if perStep := preg.Histogram("tsens_session_update_seconds", "", nil).Count(); samples >= perStep {
+				t.Fatalf("riders recorded update samples: %d, per-update %d", samples, perStep)
+			}
+		})
 	}
 }

@@ -122,6 +122,9 @@ func (ix *RowIndex) Attrs() []string { return ix.attrs }
 // Sync indexes the rows appended to the underlying relation since the index
 // was built or last synced.
 func (ix *RowIndex) Sync() {
+	if ix.n == len(ix.c.Rows) {
+		return
+	}
 	scratch := make([]int64, len(ix.idxs))
 	for ; ix.n < len(ix.c.Rows); ix.n++ {
 		t := ix.c.Rows[ix.n]

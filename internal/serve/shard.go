@@ -377,69 +377,34 @@ func (sh *shard) releaseRetired() bool {
 }
 
 // stepGroup applies one round to a group of units subscribed to the same
-// plan store (or to a singleton, where it is plain step). With several
-// subscribers, updates interleave one at a time across the whole group:
-// the store's lead/follower discipline requires every subscriber to sit at
-// the same position before the next update's deltas are computed, because
-// a partially-sharing session's private delta-joins read shared operand
-// tables, which therefore must not have advanced past the update at hand.
+// plan store, or to a singleton: the whole valid batch for fallback units,
+// the shard's pre-filtered routed slice for partitioned ones. The lockstep
+// discipline lives in incremental.StepGroup. A unit that previously failed
+// stays failed (its tombstone view persists); a unit the round does not
+// touch keeps its cached outputs, which still describe its unchanged
+// session.
 func stepGroup(g []*unit, rd *round, routed []relation.Update) {
-	if len(g) == 1 {
-		g[0].step(rd, routed)
-		return
-	}
 	ups := rd.valid
 	if g[0].part >= 0 {
-		ups = routed
-	}
-	live := g[:0:0]
-	for _, u := range g {
-		if u.err == nil && rd.cut > u.installCut {
-			live = append(live, u)
-		}
-	}
-	if len(ups) == 0 || len(live) == 0 {
-		return
-	}
-	one := make([]relation.Update, 1)
-	for _, up := range ups {
-		one[0] = up
-		for _, u := range live {
-			if u.err != nil {
-				continue // a propagation error poisons the store; peers fail fast below
-			}
-			if err := u.sess.Apply(one); err != nil {
-				u.err = err
-			}
-		}
-	}
-	for _, u := range live {
-		u.refresh()
-	}
-}
-
-// step applies the unit's slice of the round — the whole valid batch for a
-// fallback unit, the shard's pre-filtered routed slice for a partitioned
-// one — and refreshes its cached count/LS. A unit that previously failed
-// stays failed (its tombstone view persists); a unit whose partition the
-// round does not touch keeps its cached outputs, which still describe its
-// unchanged session.
-func (u *unit) step(rd *round, routed []relation.Update) {
-	if u.err != nil || rd.cut <= u.installCut {
-		return
-	}
-	ups := rd.valid
-	if u.part >= 0 {
 		ups = routed
 	}
 	if len(ups) == 0 {
 		return
 	}
-	if err := u.sess.Apply(ups); err != nil {
-		u.err = err
-		return
+	live := make([]*unit, 0, len(g))
+	sess := make([]*incremental.Session, 0, len(g))
+	for _, u := range g {
+		if u.err == nil && rd.cut > u.installCut {
+			live = append(live, u)
+			sess = append(sess, u.sess)
+		}
 	}
-	u.refresh()
+	errs := make([]error, len(live))
+	incremental.StepGroup(sess, ups, errs)
+	for i, u := range live {
+		u.err = errs[i]
+		u.refresh()
+	}
 }
 
 // refresh recomputes the cached count and LS result from the live session.
